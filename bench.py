@@ -6,7 +6,7 @@ Prints ONE JSON line:
      "num_cpus": N, "rows": R, "docs_per_sec": ...}
 
 Headline = flagship extraction pipeline (read pages parquet →
-ExtractCandidates actor pool → threshold/vote → SpellFilter →
+FusedExtract actor pool: extract → threshold/vote → spell →
 write_parquet) over a deterministic synthetic pages corpus derived
 from $GRAFT_SF_DIR/documents.parquet, amplified ×$GRAFT_AMPLIFY
 (default 40) so the job is long enough for scaling measurements. The

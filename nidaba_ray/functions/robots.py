@@ -24,6 +24,7 @@ over one host's compiled patterns. The gate composes with
 
 from __future__ import annotations
 
+import hashlib
 import re
 from urllib.parse import urlsplit
 
@@ -182,11 +183,11 @@ def robots_filter_batch(batch: pa.Table, column: str = "url",
     """Registry cleaning stage (``clean.robots``): keep rows whose URL
     is allowed by its host's robots.txt. ``robots`` maps lowercase
     host → robots.txt body; hosts with no entry allow everything.
-    Matchers compile once per (host, agent) and persist on the
-    function object — with the registry's stateless-stage calling
+    Matchers compile once per (host, body digest, agent) and persist
+    on the function object — with the registry's stateless-stage calling
     convention that is once per worker process, the broadcast-lookup
     shape (robots bodies never travel per row)."""
-    cache: dict[str, RobotsMatcher] = robots_filter_batch.__dict__.setdefault(
+    cache: dict[tuple, RobotsMatcher] = robots_filter_batch.__dict__.setdefault(
         f"_cache_{agent}", {})
     robots = robots or {}
     keep = []
@@ -198,9 +199,10 @@ def robots_filter_batch(batch: pa.Table, column: str = "url",
             if body is None:
                 keep.append(True)
                 continue
-            m = cache.get(host)
+            key = (host, hashlib.md5(body.encode("utf-8", "surrogatepass")).digest())
+            m = cache.get(key)
             if m is None:
-                m = cache[host] = RobotsMatcher(body, agent)
+                m = cache[key] = RobotsMatcher(body, agent)
             path = parts.path or "/"
             if parts.query:
                 path += "?" + parts.query

@@ -11,11 +11,12 @@ in, narrow URL rows out; no state, no shuffle."""
 
 from __future__ import annotations
 
-import gzip
 import re
 
 import pyarrow as pa
 import ray.data as rd
+
+from nidaba_ray.algorithms.inflate import InflateError, inflate
 
 __all__ = ["URL_ENTRY_PATTERN", "LOC_PATTERN", "LASTMOD_PATTERN",
            "INDEX_ENTRY_PATTERN", "parse_sitemap",
@@ -34,12 +35,13 @@ _LASTMOD_RE = re.compile(LASTMOD_PATTERN)
 
 def parse_sitemap(payload: bytes) -> tuple[str, list[tuple[str, str]]]:
     """sitemap bytes → ("urlset" | "index", [(loc, lastmod), ...]);
-    lastmod is '' when absent. Gzip members inflate transparently;
-    malformed gzip raises ValueError (quarantine contract)."""
+    lastmod is '' when absent. Gzip members inflate transparently
+    (capped, algorithms/inflate.py); malformed or over-cap gzip raises
+    ValueError (quarantine contract)."""
     if payload[:2] == b"\x1f\x8b":
         try:
-            payload = gzip.decompress(payload)
-        except (OSError, EOFError) as e:
+            payload = inflate(payload, "gzip")
+        except InflateError as e:
             raise ValueError(f"sitemap gzip: {e}") from None
     text = payload.decode("utf-8", "replace")
     kind = "index" if _INDEX_RE.search(text) else "urlset"

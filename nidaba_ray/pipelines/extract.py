@@ -2,67 +2,60 @@
 text + spans (the `nidaba batch` analog, SURVEY.md §3.1/§3.4).
 
     read_parquet(pages)
-      → ExtractCandidates        (actor pool; sniff + parse + score)
-      → threshold_and_vote       (stateless; variants + align/vote)
-      → SpellFilter              (actor pool; lang-keyed lexicon cache)
+      → FusedExtract   (one actor pool; per batch: sniff + parse +
+                        score → threshold variants + align/vote →
+                        optional lang-keyed spell annotation)
       → write_parquet / caller-chosen sink
 
-All hops are object-store block handoffs inside one streaming
-topology; nothing materializes. Quarantined rows (undecodable
-payloads) flow through with ``error`` set and empty text — filtering
-them into a separate sink would fork the DAG and re-execute the read,
-so the quarantine *view* is a filter over the written output instead.
+One ``map_batches`` stage: each payload crosses the object store once,
+on its way into the pool. The same three steps stay available as
+separate registry stages (``extract.candidates``,
+``merge.threshold_vote``, ``postprocess.spell``) for specs that insert
+their own stages between them; ``FusedExtract`` produces the same rows.
+Quarantined rows (undecodable payloads) flow through with ``error``
+set and empty text — filtering them into a separate sink would fork
+the DAG and re-execute the read, so the quarantine *view* is a filter
+over the written output instead.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+import pyarrow as pa
 import ray.data as rd
 
+from nidaba_ray.stages import merge
 from nidaba_ray.stages.extract import ExtractCandidates
-from nidaba_ray.stages.merge import threshold_and_vote
 from nidaba_ray.stages.spell import SpellFilter
 
 __all__ = ["extract_pipeline", "read_pages", "FusedExtract", "PAGES_COLUMNS"]
 
 
-class FusedExtract:
-    """All three stages composed in one actor ``__call__`` — the
-    default physical plan for the flagship pipeline.
+class FusedExtract(ExtractCandidates):
+    """``ExtractCandidates`` → ``threshold_and_vote`` → ``SpellFilter``
+    (when ``spell``) composed in one actor ``__call__`` — the physical
+    plan of the flagship pipeline. Byte-capped batch slicing is
+    inherited.
 
-    Rationale (measured on the sf0.1 bench): the logical chain is two
-    actor pools + a fused stateless stage; with both pools autoscaling
-    on one CPU budget the executor reached only ~40% utilization
-    (400 s of CPU work took 31 s of wall on 32 CPUs) and every row
-    crossed the object store twice. The stages are row-local, so
-    composing them is semantically identical; one pool saturates the
-    CPUs and each payload is touched exactly once. The staged variant
-    (``fused=False`` / the stage registry) remains for pipelines that
-    need to insert custom stages between them."""
+    Rationale (measured on the sf0.1 bench): as separate stages the
+    chain was two actor pools + a fused stateless stage; with both
+    pools autoscaling on one CPU budget the executor reached only ~40%
+    utilization (400 s of CPU work took 31 s of wall on 32 CPUs) and
+    every row crossed the object store twice. The stages are
+    row-local, so composing them is semantically identical; one pool
+    saturates the CPUs and each payload is touched exactly once."""
 
-    def __init__(self) -> None:
-        self._extract = ExtractCandidates()
-        self._spell = SpellFilter()
+    def __init__(self, spell: bool = True) -> None:
+        super().__init__()
+        self._spell = SpellFilter() if spell else None
 
-    def __call__(self, batch):
-        if (
-            batch.nbytes > self._extract.max_batch_bytes
-            and batch.num_rows > 1
-        ):
-            import pyarrow as pa
+    def _process(self, batch: pa.Table) -> pa.Table:
+        # span lists stay Python into the vote — the Arrow list<struct>
+        # build + to_pylist round trip measured ~13% of total time
+        out = merge.vote_columns(*self._extract_columns(batch))
+        return self._spell(out) if self._spell else out
 
-            mid = batch.num_rows // 2
-            return pa.concat_tables(
-                [self(batch.slice(0, mid)), self(batch.slice(mid))]
-            )
-        # span lists stay Python between the fused stages — the Arrow
-        # list<struct> build + to_pylist round trip measured ~13% of
-        # total time (see stages/extract._extract_columns)
-        from nidaba_ray.stages.merge import vote_columns
-
-        cols, spans = self._extract._extract_columns(batch)
-        return self._spell(vote_columns(cols, spans))
 
 PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 
@@ -77,47 +70,26 @@ def extract_pipeline(
     pages: rd.Dataset,
     *,
     spell: bool = True,
-    fused: bool = True,
     extract_batch_size: int = 64,
     extract_concurrency: Any = (1, 8),
-    spell_batch_size: int = 256,
-    spell_concurrency: Any = (1, 4),
 ) -> rd.Dataset:
-    """pages Dataset → extracted Dataset (lazy).
+    """pages Dataset → extracted Dataset (lazy): one ``FusedExtract``
+    actor pool; ``spell=False`` leaves out the spell annotation
+    columns.
 
     ``extract_batch_size`` is small on purpose: ``html`` is a wide
     binary column, and batch × concurrency must fit worker heaps
-    (SURVEY.md §4.2). The stateless vote stage fuses with its
-    neighbors; the two actor pools bound their own parallelism so the
-    read/write stages are never starved.
+    (SURVEY.md §4.2).
 
-    Concurrency values should stay autoscaling tuples ``(1, max)``:
-    fixed-size pools whose combined CPU demand plus the read stage
-    exceeds the cluster CPUs livelock the streaming executor (observed
-    on a 4-CPU local cluster with two fixed pools of 2).
+    ``extract_concurrency`` should stay an autoscaling tuple
+    ``(1, max)``: a fixed-size pool whose CPU demand plus the read
+    stage exceeds the cluster CPUs livelocks the streaming executor.
     """
-    if fused and spell:
-        return pages.map_batches(
-            FusedExtract,
-            batch_format="pyarrow",
-            batch_size=extract_batch_size,
-            concurrency=extract_concurrency,
-            num_cpus=1,
-        )
-    ds = pages.map_batches(
-        ExtractCandidates,
+    return pages.map_batches(
+        FusedExtract,
+        fn_constructor_kwargs={"spell": spell},
         batch_format="pyarrow",
         batch_size=extract_batch_size,
         concurrency=extract_concurrency,
         num_cpus=1,
     )
-    ds = ds.map_batches(threshold_and_vote, batch_format="pyarrow")
-    if spell:
-        ds = ds.map_batches(
-            SpellFilter,
-            batch_format="pyarrow",
-            batch_size=spell_batch_size,
-            concurrency=spell_concurrency,
-            num_cpus=1,
-        )
-    return ds

@@ -13,8 +13,8 @@ order; the pipeline contract is that the extracted text equals
 ``SPAN_SEP.join(expected_blocks)`` byte-exactly (same separator
 convention as the flagship pipeline, record.SPAN_SEP).
 
-These run through the REAL distributed pipeline (ExtractCandidates →
-threshold/vote → spell) via ``extract_golden_real`` — a ``queries()``
+These run through the REAL distributed pipeline (FusedExtract:
+extract → threshold/vote → spell) via ``extract_golden_real`` — a ``queries()``
 rows-check entry — and are frozen as a pytest golden
 (tests/test_realpages.py): every fixture must match exactly.
 """

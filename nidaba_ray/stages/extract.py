@@ -11,8 +11,8 @@ ship every multi-MB payload) twice. PDF rows are a small fraction
 payload column moves each byte through the object store exactly once.
 
 Actor pool: the parser state (compiled regexes, parser tables — the
-"model load" of the recognizer analog) is built once per actor in
-``__init__``; ``__call__`` handles one Arrow batch. Per-row errors are
+"model load" of the recognizer analog) is built once per actor
+process, at module import; ``__call__`` handles one Arrow batch. Per-row errors are
 caught and emitted as quarantine rows (``error`` column) — a poison
 payload never kills the task (SURVEY.md §4.1 retries row).
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from nidaba_ray.algorithms.inflate import InflateError, inflate
 from nidaba_ray.algorithms.strings import sanitize
 from nidaba_ray.stages import pdf as pdfmod
 from nidaba_ray.stages import score as scoremod
@@ -30,7 +31,12 @@ from nidaba_ray.record import SPAN_TYPE
 __all__ = ["ExtractCandidates", "extract_row"]
 
 
-GZIP_MAGIC = b"\x1f\x8b"
+# (magic, codec): compressed wrappers inflated (capped) before the sniff
+_COMPRESSED = (
+    (b"\x1f\x8b", "gzip"),
+    (b"BZh", "bzip2"),
+    (b"\xfd7zXZ\x00", "xz"),
+)
 
 
 def extract_row(payload: bytes) -> tuple[str, list[dict], str]:
@@ -47,50 +53,21 @@ def extract_row(payload: bytes) -> tuple[str, list[dict], str]:
     fails, so without the marker random binary would stop
     quarantining)."""
     try:
-        if payload[:2] == GZIP_MAGIC:
-            import gzip
-
-            try:
-                payload = gzip.decompress(payload)
-            except (OSError, EOFError):
-                return "invalid", [], "gzip: corrupt stream"
-        elif payload[:3] == b"BZh":
-            import bz2
-
-            try:
-                payload = bz2.decompress(payload)
-            except (OSError, ValueError):
-                return "invalid", [], "bzip2: corrupt stream"
-        elif payload[:6] == b"\xfd7zXZ\x00":
-            import lzma
-
-            try:
-                payload = lzma.decompress(payload)
-            except lzma.LZMAError:
-                return "invalid", [], "xz: corrupt stream"
+        for magic, codec in _COMPRESSED:
+            if payload[:len(magic)] == magic:
+                try:
+                    payload = inflate(payload, codec)
+                except InflateError as e:
+                    return "invalid", [], f"{codec}: {e}"
+                break
         if payload[:4] == b"PK\x03\x04":
             return _extract_office(payload)
         if payload[:5] == b"{\\rtf":
-            return _extract_rtf(payload)
+            return _extract_doc("rtf", payload)
         if pdfmod.is_pdf(payload):
-            blocks = pdfmod.extract_pdf_blocks(payload)
-            spans = [
-                {
-                    "block_id": i,
-                    "kind": "pdf",
-                    "depth": 0,
-                    "text_density": float(len(t)),
-                    "link_density": 0.0,
-                    "score": float(len(t)),
-                    "text": sanitize(t),
-                    "start": -1,
-                    "end": -1,
-                }
-                for i, t in enumerate(blocks)
-            ]
-            if not spans:
-                return "pdf", [], "pdf: no text operators found"
-            return "pdf", spans, ""
+            return _result("pdf",
+                           _doc_spans(pdfmod.extract_pdf_blocks(payload), "pdf"),
+                           "no text operators found")
         # HTML path: strict decode first — payloads that are neither PDF
         # nor valid UTF-8 text are quarantined (declared-charset and
         # latin-1 fallbacks below require the page to identify itself:
@@ -160,7 +137,7 @@ def extract_row(payload: bytes) -> tuple[str, list[dict], str]:
                 text, "payload has no recognizable html structure")
         blocks = segment_html(sanitize(text, "NFC"))
         if not blocks:
-            return "html", [], "html: no text blocks"
+            return _result("html", [], "no text blocks")
         feat = scoremod.block_features(blocks)
         raw = scoremod.block_scores(feat)
         scores = scoremod.suppress_isolated(
@@ -278,58 +255,53 @@ def _doc_spans(paras: list[str], kind: str) -> list[dict]:
     ]
 
 
+def _result(kind: str, spans: list[dict], empty: str) -> tuple:
+    """``(kind, spans, "")``, or the ``"{kind}: {empty}"`` quarantine
+    when the payload yielded no spans."""
+    if not spans:
+        return kind, [], f"{kind}: {empty}"
+    return kind, spans, ""
+
+
 def _extract_feed(text: str, fk: str) -> tuple[str, list[dict], str]:
     """RSS/Atom/RDF syndication documents (stages/feeds.py) — channel
     title + per-item title/body paragraphs, the PDF no-chrome span
     convention."""
     from nidaba_ray.stages import feeds
 
-    spans = _doc_spans(feeds.extract_feed_paragraphs(text, fk), "feed")
-    if not spans:
-        return "feed", [], "feed: no item text"
-    return "feed", spans, ""
+    return _result("feed",
+                   _doc_spans(feeds.extract_feed_paragraphs(text, fk), "feed"),
+                   "no item text")
 
 
-def _extract_rtf(payload: bytes) -> tuple[str, list[dict], str]:
-    """RTF documents (stages/office.py scanner) — the PDF no-chrome
-    span convention, like DOCX."""
+# document kind → its stages.office reader (looked up by name at call
+# time); documents carry no chrome, so paragraphs take the PDF span
+# convention
+_DOC_READERS = {
+    "docx": "extract_docx_paragraphs",
+    "odt": "extract_odt_paragraphs",
+    "xlsx": "extract_xlsx_rows",
+    "pptx": "extract_pptx_paragraphs",
+    "rtf": "extract_rtf_paragraphs",
+}
+
+
+def _extract_doc(kind: str, payload: bytes) -> tuple[str, list[dict], str]:
     from nidaba_ray.stages import office
 
-    spans = _doc_spans(office.extract_rtf_paragraphs(payload), "rtf")
-    if not spans:
-        return "rtf", [], "rtf: no visible text"
-    return "rtf", spans, ""
+    paras = getattr(office, _DOC_READERS[kind])(payload)
+    return _result(kind, _doc_spans(paras, kind), "no visible text")
 
 
 def _extract_office(payload: bytes) -> tuple[str, list[dict], str]:
-    """DOCX/EPUB zip containers (stages/office.py). DOCX paragraphs
-    take the PDF span convention (documents carry no chrome); EPUB
-    chapters flow through the SAME html segment+score chain as web
-    pages, concatenated in spine order."""
+    """Zip containers (stages/office.py): DOCX/ODT/XLSX/PPTX through
+    ``_DOC_READERS``; EPUB chapters flow through the SAME html
+    segment+score chain as web pages, concatenated in spine order."""
     from nidaba_ray.stages import office
 
     kind = office.sniff_office(payload)
-    if kind == "docx":
-        spans = _doc_spans(office.extract_docx_paragraphs(payload), "docx")
-        if not spans:
-            return "docx", [], "docx: no visible text"
-        return "docx", spans, ""
-    if kind == "odt":
-        spans = _doc_spans(office.extract_odt_paragraphs(payload), "odt")
-        if not spans:
-            return "odt", [], "odt: no visible text"
-        return "odt", spans, ""
-    if kind == "xlsx":
-        spans = _doc_spans(office.extract_xlsx_rows(payload), "xlsx")
-        if not spans:
-            return "xlsx", [], "xlsx: no visible text"
-        return "xlsx", spans, ""
-    if kind == "pptx":
-        spans = _doc_spans(office.extract_pptx_paragraphs(payload),
-                           "pptx")
-        if not spans:
-            return "pptx", [], "pptx: no visible text"
-        return "pptx", spans, ""
+    if kind in _DOC_READERS:
+        return _extract_doc(kind, payload)
     if kind == "epub":
         spans: list[dict] = []
         for chapter in office.epub_chapters(payload):
@@ -339,9 +311,7 @@ def _extract_office(payload: bytes) -> tuple[str, list[dict], str]:
             for s in cspans:
                 s["block_id"] = len(spans)
                 spans.append(s)
-        if not spans:
-            return "epub", [], "epub: no text blocks in any chapter"
-        return "epub", spans, ""
+        return _result("epub", spans, "no text blocks in any chapter")
     return "invalid", [], "unrecognized zip container (not docx/epub/odt)"
 
 
@@ -361,10 +331,6 @@ class ExtractCandidates:
     """
 
     def __init__(self, max_batch_bytes: int = 64 << 20) -> None:
-        # Parser state built once per actor (module import compiles the
-        # PDF regexes; HTMLParser tables are per-parse but cheap).
-        self._pdf = pdfmod
-        self._segment = segment_html
         self.max_batch_bytes = max_batch_bytes
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -36,6 +36,10 @@ class SpellFilter:
         self.max_dist = max_dist
         self._words: dict[str, frozenset[str]] = {}
         self._index: dict[str, dict[str, tuple[str, ...]]] = {}
+        # suggestion lists for seen (lang, OOV token) keys (Zipfian
+        # repeats) — cuts the symmetric-delete lookups to once per
+        # unique token per actor
+        self._sugg_cache: dict[tuple, list[str]] = {}
 
     def _lang(self, lang: str):
         if lang not in self._words:
@@ -47,12 +51,7 @@ class SpellFilter:
         texts = batch["text"].to_pylist()
         langs = batch["lang"].to_pylist()
         n_tokens_l, oov_l, ratio_l, sugg_l = [], [], [], []
-        sugg_cache = getattr(self, "_sugg_cache", None)
-        if sugg_cache is None:
-            # per-actor caches: suggestion lists for seen OOV tokens
-            # (Zipfian repeats) — cuts the symmetric-delete lookups to
-            # once per unique token per actor
-            sugg_cache = self._sugg_cache = {}
+        sugg_cache = self._sugg_cache
         for text, lang in zip(texts, langs):
             words, index = self._lang(lang or "en")
             toks = text.split(SPAN_SEP) if text else []

@@ -6,6 +6,12 @@ from __future__ import annotations
 import pytest
 
 
+def pytest_configure(config):
+    # dev lane: ``pytest -m "not slow"``; the full run still runs these
+    config.addinivalue_line(
+        "markers", "slow: seen-index spill and codec-fuzz families")
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray

@@ -11,6 +11,8 @@ import signal
 import numpy as np
 import pytest
 
+pytestmark = pytest.mark.slow
+
 
 class _Timeout(Exception):
     pass

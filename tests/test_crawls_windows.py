@@ -215,7 +215,7 @@ def test_host_stats_salted(ray_session, tmp_path):
     p = str(tmp_path / "pages.parquet")
     pq_.write_table(t.drop_columns(["golden", "doc_id"]), p)
     out = extract_pipeline(
-        rd.read_parquet(p), extract_concurrency=(1, 2), spell_concurrency=(1, 2)
+        rd.read_parquet(p), extract_concurrency=(1, 2)
     )
     stats = host_stats(out).to_pandas().set_index("host")
     # naive reference over the source table

@@ -92,7 +92,7 @@ def pages_file(tmp_path_factory):
 def test_runner_end_to_end_and_resume(ray_session, pages_file, tmp_path):
     from nidaba_ray.pipelines import runner
 
-    cfg = {"extract_concurrency": (1, 2), "spell_concurrency": (1, 2)}
+    cfg = {"extract_concurrency": (1, 2)}
     out_dir = str(tmp_path / "job")
     s1 = runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
     assert s1["processed_buckets"] > 0 and s1["skipped_buckets"] == 0
@@ -123,7 +123,7 @@ def test_runner_end_to_end_and_resume(ray_session, pages_file, tmp_path):
 def test_job_status(ray_session, pages_file, tmp_path):
     from nidaba_ray.pipelines import runner
 
-    cfg = {"extract_concurrency": (1, 2), "spell_concurrency": (1, 2)}
+    cfg = {"extract_concurrency": (1, 2)}
     out_dir = str(tmp_path / "statjob")
     runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
     st = runner.job_status(out_dir, 8)
@@ -148,7 +148,7 @@ def test_crash_rerun_no_duplicates(ray_session, pages_file, tmp_path):
 
     from nidaba_ray.pipelines import runner
 
-    cfg = {"extract_concurrency": (1, 2), "spell_concurrency": (1, 2)}
+    cfg = {"extract_concurrency": (1, 2)}
     out_dir = str(tmp_path / "crashjob")
     s1 = runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
     total = s1["n_rows"]
@@ -170,7 +170,7 @@ def test_noop_resume_is_fast(ray_session, pages_file, tmp_path):
 
     from nidaba_ray.pipelines import runner
 
-    cfg = {"extract_concurrency": (1, 2), "spell_concurrency": (1, 2)}
+    cfg = {"extract_concurrency": (1, 2)}
     out_dir = str(tmp_path / "noopjob")
     runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
     t0 = time.time()
@@ -207,7 +207,7 @@ def test_read_side_bucket_pruning(ray_session, tmp_path):
     n_buckets = 8
     in_dir, src = _bucketed_pages_input(tmp_path, n=120, n_buckets=n_buckets)
     out_dir = str(tmp_path / "out")
-    cfg = {"extract_concurrency": (1, 2), "spell_concurrency": (1, 2)}
+    cfg = {"extract_concurrency": (1, 2)}
     s1 = run_job(in_dir, out_dir, n_buckets, cfg)
     assert s1["processed_buckets"] == n_buckets
     assert s1["pruned_input_buckets"] == 0  # nothing was done yet

@@ -45,7 +45,7 @@ def run_pipeline(ray_session, pages_parquet):
     # autoscaling (min=1) pools: fixed-size pools can livelock when
     # pool sizes + the read stage exceed the cluster's CPUs (seen with
     # 2+2 fixed actors on num_cpus=4 — the plan never finishes).
-    out = extract_pipeline(pages, extract_concurrency=(1, 2), spell_concurrency=(1, 2))
+    out = extract_pipeline(pages, extract_concurrency=(1, 2))
     return out.to_pandas()
 
 

@@ -166,7 +166,7 @@ def test_accuracy_vs_golden(ray_session, tmp_path):
     ).drop_duplicates("url").to_parquet(str(tmp_path / "g.parquet"))
     out = extract_pipeline(
         rd.read_parquet(str(tmp_path / "p.parquet")),
-        extract_concurrency=(1, 2), spell_concurrency=(1, 2),
+        extract_concurrency=(1, 2),
     )
     roll = accuracy_vs_golden(out, str(tmp_path / "g.parquet")).to_pylist()[0]
     # quarantined rows can't match; everything else must be exact

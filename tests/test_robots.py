@@ -146,3 +146,14 @@ def test_robots_extras_invalid_delay_is_zero():
 
     txt = "User-agent: *\nCrawl-delay: soon\nDisallow: /x"
     assert robots_extras(txt, "anybot") == ([], 0)
+
+
+def test_robots_filter_cache_follows_body():
+    """A host's matcher is cached per robots body: the same host under
+    a changed body (a re-fetched robots.txt) is judged by the new one."""
+    t = pa.table({"url": pa.array(["https://recache.example/page"])})
+    deny = {"recache.example": "User-agent: *\nDisallow: /\n"}
+    allow = {"recache.example": "User-agent: *\nAllow: /\n"}
+    assert robots_filter_batch(t, robots=deny).num_rows == 0
+    assert robots_filter_batch(t, robots=allow).num_rows == 1
+    assert robots_filter_batch(t, robots=deny).num_rows == 0

@@ -146,6 +146,7 @@ def test_tiered_index_through_dataset(ray_session):
     assert len(got) == 137 and got["text"].nunique() == 137
 
 
+@pytest.mark.slow
 def test_spilled_shard_equals_flat(ray_session, tmp_path):
     """Disk-tier parity: a shard spilling frozen runs to .npy memmaps
     admits exactly the same key sequence as the flat-set shard, and
@@ -183,6 +184,7 @@ def test_spilled_shard_equals_flat(ray_session, tmp_path):
     assert sum(f.startswith("wal-") for f in os.listdir(spill)) == 1
 
 
+@pytest.mark.slow
 def test_spilled_index_through_dataset(ray_session, tmp_path):
     import ray.data as rd
 
@@ -197,6 +199,7 @@ def test_spilled_index_through_dataset(ray_session, tmp_path):
     assert len(got) == 137 and got["text"].nunique() == 137
 
 
+@pytest.mark.slow
 def test_shard_crash_recovery(ray_session, tmp_path):
     """Kill a spilled shard mid-stream; a replacement actor on the
     same spill_dir must reject every previously admitted key —
@@ -225,6 +228,7 @@ def test_shard_crash_recovery(ray_session, tmp_path):
     assert n_keys == 100
 
 
+@pytest.mark.slow
 def test_index_crash_recovery_through_dataset(ray_session, tmp_path):
     """End-to-end: stream part A, kill ALL shards, rebuild the index
     from the spill dir, stream part B (overlapping A) — the union of
@@ -267,6 +271,7 @@ def test_index_crash_recovery_through_dataset(ray_session, tmp_path):
     assert int(st["n_keys"].sum()) == 150
 
 
+@pytest.mark.slow
 def test_spill_dir_reuse_without_manifest_wipes_orphans(ray_session, tmp_path):
     """A spill_dir with leftover files but NO manifest is a stale dir,
     not recoverable state: a new shard wipes the orphans and starts
@@ -303,6 +308,7 @@ def _plain_shard(**kw):
     return s, cls
 
 
+@pytest.mark.slow
 def test_bloom_resize_keeps_no_false_negatives(tmp_path, monkeypatch):
     """When frozen keys outgrow ~8 bits/key the front doubles and is
     rebuilt from the runs: capacity grows geometrically, admitted set

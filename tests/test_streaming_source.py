@@ -56,7 +56,7 @@ def test_jsonl_sink_source_roundtrip(ray_session, tmp_path):
     pq.write_table(t, str(tmp_path / "p.parquet"))
     out = extract_pipeline(
         rd.read_parquet(str(tmp_path / "p.parquet")),
-        extract_concurrency=(1, 2), spell_concurrency=(1, 2),
+        extract_concurrency=(1, 2),
     )
     jdir = str(tmp_path / "jsonl")
     out.map_batches(to_jsonl_rows, batch_format="pyarrow").write_json(jdir)
