@@ -1,4 +1,5 @@
-"""Capped inflate for the compressed payload dialects (gzip, bzip2, xz).
+"""Capped inflate for the compressed payload dialects (gzip, bzip2, xz)
+and for PDF FlateDecode streams.
 
 ``gzip``/``bz2``/``lzma.decompress`` return whatever a stream expands
 to, so a few kB of hostile input can take a worker's heap (a
@@ -15,7 +16,7 @@ import bz2
 import lzma
 import zlib
 
-__all__ = ["MAX_INFLATED_BYTES", "InflateError", "inflate"]
+__all__ = ["MAX_INFLATED_BYTES", "InflateError", "inflate", "inflate_zlib"]
 
 MAX_INFLATED_BYTES = 64 << 20
 
@@ -58,3 +59,18 @@ def inflate(payload: bytes, codec: str) -> bytes:
         if codec == "gzip":
             payload = payload.lstrip(b"\x00")
     return b"".join(members)
+
+
+def inflate_zlib(body: bytes) -> bytes:
+    """``zlib.decompress(body)`` with at most ``MAX_INFLATED_BYTES`` of
+    output: one zlib stream, trailing bytes ignored (even a second
+    stream), ``zlib.error`` on a corrupt or truncated stream, and
+    ``InflateError`` past the cap."""
+    cap = MAX_INFLATED_BYTES
+    d = zlib.decompressobj()
+    out = d.decompress(body, cap + 1)
+    if len(out) > cap:
+        raise InflateError("decompressed size exceeds cap")
+    if not d.eof:
+        raise zlib.error("incomplete or truncated stream")
+    return out

@@ -19,10 +19,13 @@ payload never kills the task (SURVEY.md §4.1 retries row).
 
 from __future__ import annotations
 
+import re
+
 import pyarrow as pa
 
 from nidaba_ray.algorithms.inflate import InflateError, inflate
 from nidaba_ray.algorithms.strings import sanitize
+from nidaba_ray.stages import feeds, mdtext, office
 from nidaba_ray.stages import pdf as pdfmod
 from nidaba_ray.stages import score as scoremod
 from nidaba_ray.stages.segment import segment_html
@@ -39,6 +42,11 @@ _COMPRESSED = (
 )
 
 
+class _Quarantine(Exception):
+    """A payload the text-decode ladder refuses; the message is the
+    row's ``error``."""
+
+
 def extract_row(payload: bytes) -> tuple[str, list[dict], str]:
     """One payload → (kind, spans, error). Pure; unit-testable.
 
@@ -46,12 +54,8 @@ def extract_row(payload: bytes) -> tuple[str, list[dict], str]:
     inflated — CC WARC records are commonly per-record gzip), bzip2
     and xz members (dump mirrors — Wikipedia-style archives — serve
     both; round 5), %PDF, zip containers (docx/odt/xlsx/pptx/epub),
-    RTF, RSS/Atom/RDF feeds, plain text, UTF-8 HTML, latin-1 HTML
-    fallback (only
-    when the decoded text has unambiguous html structure — a
-    ``<html``/``<!doctype`` marker; a bare latin-1 decode never
-    fails, so without the marker random binary would stop
-    quarantining)."""
+    RTF; everything else decodes to text (``_decode_text``) and is
+    plain text, an RSS/Atom/RDF feed or HTML."""
     try:
         for magic, codec in _COMPRESSED:
             if payload[:len(magic)] == magic:
@@ -68,107 +72,89 @@ def extract_row(payload: bytes) -> tuple[str, list[dict], str]:
             return _result("pdf",
                            _doc_spans(pdfmod.extract_pdf_blocks(payload), "pdf"),
                            "no text operators found")
-        # HTML path: strict decode first — payloads that are neither PDF
-        # nor valid UTF-8 text are quarantined (declared-charset and
-        # latin-1 fallbacks below require the page to identify itself:
-        # a meta/xml charset declaration, or unambiguous html structure).
-        text = None
-        if payload[:3] == b"\xef\xbb\xbf":
-            payload = payload[3:]  # UTF-8 BOM: strip, decode strict below
-        elif payload[:2] in (b"\xff\xfe", b"\xfe\xff"):
-            # UTF-16 BOM (the "utf-16" codec consumes it). FF FE also
-            # prefixes UTF-32-LE — disambiguate on the next two bytes;
-            # UTF-32 pages are effectively absent from the web.
-            if payload[:2] == b"\xff\xfe" and payload[2:4] == b"\x00\x00":
-                return "invalid", [], "utf-32 payloads unsupported"
-            try:
-                text = payload.decode("utf-16")
-            except UnicodeDecodeError:
-                return "invalid", [], "utf-16: corrupt stream"
-        if text is None:
-            try:
-                text = payload.decode("utf-8")
-            except UnicodeDecodeError:
-                text = None
-                cs = _sniff_charset(payload[:2048])
-                if cs:
-                    try:
-                        text = payload.decode(cs)
-                    except (UnicodeDecodeError, LookupError):
-                        text = None
-            if text is None:
-                # BOM-less UTF-16 (IIS-era pages): a NUL-dense head is
-                # never valid in any listed 8-bit web charset, so the
-                # NUL stripe picks the endianness; the decode must then
-                # show unambiguous html structure (the latin-1 gate).
-                head = payload[:256]
-                if head.count(0) >= len(head) // 3:
-                    even_nul = head[0::2].count(0)
-                    enc = ("utf-16-be" if even_nul > head[1::2].count(0)
-                           else "utf-16-le")
-                    try:
-                        cand = payload.decode(enc)
-                    except UnicodeDecodeError:
-                        cand = None
-                    if cand is not None:
-                        lowc = cand[:512].lower()
-                        if "<html" in lowc or "<!doctype" in lowc:
-                            text = cand
-            if text is None:
-                text = payload.decode("latin-1")
-                low512 = text[:512].lower()
-                if "<html" not in low512 and "<!doctype" not in low512:
-                    return ("invalid", [],
-                            "payload is neither PDF nor valid UTF-8")
-        low = text[:512].lower()
+        text = _decode_text(payload)
         if "<" not in text:
             return _extract_plain_text(text, "payload is not markup")
-        if "<html" not in low and "<!doctype" not in low:
+        low = text[:512].lower()
+        if not _has_html_marker(low):
             # syndication dialect: RSS/Atom/RDF roots never carry html
             # markers, so sniffing here can't shadow a real page
-            from nidaba_ray.stages import feeds
-
             fk = feeds.sniff_feed(low)
             if fk:
                 return _extract_feed(text, fk)
-        if "<html" not in low and "<!doctype" not in low and "<body" not in low \
-                and "<p" not in low and "<div" not in low:
-            return _extract_plain_text(
-                text, "payload has no recognizable html structure")
-        blocks = segment_html(sanitize(text, "NFC"))
-        if not blocks:
-            return _result("html", [], "no text blocks")
-        feat = scoremod.block_features(blocks)
-        raw = scoremod.block_scores(feat)
-        scores = scoremod.suppress_isolated(
-            raw, scoremod.smooth_scores(raw, feat)
-        )
-        spans = [
-            {
-                "block_id": i,
-                "kind": b.kind,
-                "depth": b.depth,
-                "text_density": float(feat["text_density"][i]),
-                "link_density": float(feat["link_density"][i]),
-                "score": float(scores[i]),
-                "text": b.text,
-                "start": -1,
-                "end": -1,
-            }
-            for i, b in enumerate(blocks)
-        ]
-        return "html", spans, ""
+            if "<body" not in low and "<p" not in low and "<div" not in low:
+                return _extract_plain_text(
+                    text, "payload has no recognizable html structure")
+        return _html_spans(text)
+    except _Quarantine as e:
+        return "invalid", [], str(e)
     except UnicodeDecodeError:
         return "invalid", [], "payload is neither PDF nor valid UTF-8"
     except Exception as e:  # per-row isolation: never kill the task
         return "invalid", [], f"extract error: {type(e).__name__}: {e}"
 
 
-import re as _re
+def _has_html_marker(low: str) -> bool:
+    """Unambiguous html structure in a lowercased page head."""
+    return "<html" in low or "<!doctype" in low
+
+
+def _utf16_stripe(payload: bytes) -> str | None:
+    """BOM-less UTF-16 (IIS-era pages): a NUL-dense head is never valid
+    in any listed 8-bit web charset, so the NUL stripe picks the
+    endianness."""
+    head = payload[:256]
+    if head.count(0) < len(head) // 3:
+        return None
+    return ("utf-16-be" if head[0::2].count(0) > head[1::2].count(0)
+            else "utf-16-le")
+
+
+# the decode ladder, tried in order: (encoding picker, needs the html
+# marker). Strict UTF-8 first; the declared charset only after UTF-8
+# fails. The last two rungs would accept almost any bytes (a latin-1
+# decode never fails), so they must show unambiguous html structure,
+# or random binary would stop quarantining.
+_DECODE_LADDER = (
+    (lambda p: "utf-8", False),
+    (lambda p: _sniff_charset(p[:2048]), False),
+    (_utf16_stripe, True),
+    (lambda p: "latin-1", True),
+)
+
+
+def _decode_text(payload: bytes) -> str:
+    """The payload's text: a UTF-16 BOM decodes strictly, anything else
+    (less an optional UTF-8 BOM) walks ``_DECODE_LADDER``; raises
+    ``_Quarantine``."""
+    if payload[:2] in (b"\xff\xfe", b"\xfe\xff"):
+        # the "utf-16" codec consumes the BOM. FF FE also prefixes
+        # UTF-32-LE — disambiguate on the next two bytes; UTF-32 pages
+        # are effectively absent from the web.
+        if payload[:4] == b"\xff\xfe\x00\x00":
+            raise _Quarantine("utf-32 payloads unsupported")
+        try:
+            return payload.decode("utf-16")
+        except UnicodeDecodeError:
+            raise _Quarantine("utf-16: corrupt stream") from None
+    if payload[:3] == b"\xef\xbb\xbf":
+        payload = payload[3:]
+    for pick, needs_marker in _DECODE_LADDER:
+        enc = pick(payload)
+        if enc is None:
+            continue
+        try:
+            text = payload.decode(enc)
+        except (UnicodeDecodeError, LookupError):
+            continue
+        if not needs_marker or _has_html_marker(text[:512].lower()):
+            return text
+    raise _Quarantine("payload is neither PDF nor valid UTF-8")
+
 
 # <meta charset=…> / http-equiv Content-Type / XML declaration — the
 # three places a legacy page declares its encoding
-_CHARSET_RE = _re.compile(
+_CHARSET_RE = re.compile(
     rb"""(?i)(?:charset|encoding)\s*=\s*["']?\s*([a-z0-9_:.\-]+)""")
 
 # allowlist of legacy web charsets (codecs.lookup on arbitrary
@@ -203,8 +189,8 @@ def _sniff_charset(head: bytes) -> str | None:
     return name if name in _WEB_CHARSETS else None
 
 
-_PARA_SPLIT_RE = _re.compile(r"\n[ \t]*\n+")
-_WS_RUN_RE = _re.compile(r"[ \t\r\n]+")
+_PARA_SPLIT_RE = re.compile(r"\n[ \t]*\n+")
+_WS_RUN_RE = re.compile(r"[ \t\r\n]+")
 
 
 def _extract_plain_text(text: str, gate_error: str) -> tuple:
@@ -223,8 +209,6 @@ def _extract_plain_text(text: str, gate_error: str) -> tuple:
     # text/markdown — strip the syntax down to prose instead of keeping
     # "# Heading" / [text](url) literally. Only after the plain gate
     # passed, and only on unambiguous markers (stages/mdtext.py).
-    from nidaba_ray.stages import mdtext
-
     if mdtext.looks_like_markdown(text):
         spans = _doc_spans(mdtext.markdown_paragraphs(text), "markdown")
         if spans:
@@ -235,6 +219,33 @@ def _extract_plain_text(text: str, gate_error: str) -> tuple:
     if not spans:
         return "invalid", [], gate_error
     return "text", spans, ""
+
+
+def _html_spans(text: str) -> tuple[str, list[dict], str]:
+    """An HTML page → segmented, scored block spans."""
+    blocks = segment_html(sanitize(text, "NFC"))
+    if not blocks:
+        return _result("html", [], "no text blocks")
+    feat = scoremod.block_features(blocks)
+    raw = scoremod.block_scores(feat)
+    scores = scoremod.suppress_isolated(
+        raw, scoremod.smooth_scores(raw, feat)
+    )
+    spans = [
+        {
+            "block_id": i,
+            "kind": b.kind,
+            "depth": b.depth,
+            "text_density": float(feat["text_density"][i]),
+            "link_density": float(feat["link_density"][i]),
+            "score": float(scores[i]),
+            "text": b.text,
+            "start": -1,
+            "end": -1,
+        }
+        for i, b in enumerate(blocks)
+    ]
+    return "html", spans, ""
 
 
 def _doc_spans(paras: list[str], kind: str) -> list[dict]:
@@ -267,8 +278,6 @@ def _extract_feed(text: str, fk: str) -> tuple[str, list[dict], str]:
     """RSS/Atom/RDF syndication documents (stages/feeds.py) — channel
     title + per-item title/body paragraphs, the PDF no-chrome span
     convention."""
-    from nidaba_ray.stages import feeds
-
     return _result("feed",
                    _doc_spans(feeds.extract_feed_paragraphs(text, fk), "feed"),
                    "no item text")
@@ -287,8 +296,6 @@ _DOC_READERS = {
 
 
 def _extract_doc(kind: str, payload: bytes) -> tuple[str, list[dict], str]:
-    from nidaba_ray.stages import office
-
     paras = getattr(office, _DOC_READERS[kind])(payload)
     return _result(kind, _doc_spans(paras, kind), "no visible text")
 
@@ -297,8 +304,6 @@ def _extract_office(payload: bytes) -> tuple[str, list[dict], str]:
     """Zip containers (stages/office.py): DOCX/ODT/XLSX/PPTX through
     ``_DOC_READERS``; EPUB chapters flow through the SAME html
     segment+score chain as web pages, concatenated in spine order."""
-    from nidaba_ray.stages import office
-
     kind = office.sniff_office(payload)
     if kind in _DOC_READERS:
         return _extract_doc(kind, payload)

@@ -83,15 +83,15 @@ def vote_row(
         keep_a = scoremod.keep_global_otsu(scores)
         keep_b = scoremod.keep_local_sauvola(scores)
         keep_c = scoremod.keep_nlbin(scores)
-    cand_a = SPAN_SEP.join(spans[i]["text"] for i in range(n_blocks) if keep_a[i])
-    cand_b = SPAN_SEP.join(spans[i]["text"] for i in range(n_blocks) if keep_b[i])
-    cand_c = SPAN_SEP.join(spans[i]["text"] for i in range(n_blocks) if keep_c[i])
-    candidates = [cand_a, cand_b, cand_c]
+    candidates = [
+        SPAN_SEP.join(spans[i]["text"] for i in range(n_blocks) if keep[i])
+        for keep in (keep_a, keep_b, keep_c)
+    ]
+    cand_a, cand_b = candidates[0], candidates[1]
     if cand_text:
         candidates.append(cand_text)
-    prov = [{"stage": "threshold", "variant": "otsu"},
-            {"stage": "threshold", "variant": "sauvola"},
-            {"stage": "threshold", "variant": "nlbin"}]
+    prov = [{"stage": stage, "variant": variant}
+            for stage, variant, _ in VARIANT_PRIORITY[:3]]
     if cand_a == cand_b:
         final = cand_a
         prov.append({"stage": "merge", "variant": "agree"})

@@ -18,7 +18,8 @@ both formats pin their part layout in public specs: ECMA-376 for
   pages (chrome handling comes free for publisher boilerplate).
 
 Malformed containers raise ValueError — extract_row's per-row
-quarantine contract."""
+quarantine contract. So do containers whose members, read together,
+would inflate past the payload cap (``_Zip``)."""
 
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ import posixpath
 import re
 import zipfile
 from html import unescape
+
+from nidaba_ray.algorithms.inflate import MAX_INFLATED_BYTES
 
 __all__ = ["ZIP_MAGIC", "sniff_office", "extract_docx_paragraphs",
            "epub_chapters", "extract_odt_paragraphs",
@@ -45,6 +48,27 @@ _IDREF_RE = re.compile(
     rb"<(?:[A-Za-z0-9]+:)?itemref\s[^>]*idref\s*=\s*[\"']([^\"']+)[\"']")
 _ATTR_ID_RE = re.compile(rb"(?:^|\s)id\s*=\s*[\"']([^\"']+)[\"']")
 _ATTR_HREF_RE = re.compile(rb"(?:^|\s)href\s*=\s*[\"']([^\"']+)[\"']")
+
+
+class _Zip(zipfile.ZipFile):
+    """A zip container whose member reads share one inflate budget: a
+    member is refused (``BadZipFile``, so each reader reports it as
+    ``"<kind>: …"``) when its declared size would take the bytes read
+    from the container past ``MAX_INFLATED_BYTES``."""
+
+    _read_bytes = 0
+
+    def read(self, name, pwd=None):
+        info = self.getinfo(name)
+        self._read_bytes += info.file_size
+        if self._read_bytes > MAX_INFLATED_BYTES:
+            raise zipfile.BadZipFile(
+                f"{name}: decompressed size exceeds cap")
+        # a sized read inflates at most about the size asked for, where
+        # read() inflates a member in one unbounded call; one byte over
+        # the declared size still reaches EOF, so the CRC is checked
+        with self.open(info, pwd=pwd) as f:
+            return f.read(info.file_size + 1)
 
 
 def sniff_office(payload: bytes) -> str | None:
@@ -73,7 +97,7 @@ def sniff_office(payload: bytes) -> str | None:
 def extract_docx_paragraphs(payload: bytes) -> list[str]:
     """DOCX bytes → visible paragraph texts in document order."""
     try:
-        with zipfile.ZipFile(io.BytesIO(payload)) as z:
+        with _Zip(io.BytesIO(payload)) as z:
             doc = z.read("word/document.xml")
     except (zipfile.BadZipFile, KeyError, OSError, ValueError) as e:
         raise ValueError(f"docx: {e}") from None
@@ -109,7 +133,7 @@ def extract_odt_paragraphs(payload: bytes) -> list[str]:
     run of n spaces, ``<text:tab/>``/``<text:line-break/>`` contribute
     a space; nested spans keep their text, other markup strips."""
     try:
-        with zipfile.ZipFile(io.BytesIO(payload)) as z:
+        with _Zip(io.BytesIO(payload)) as z:
             doc = z.read("content.xml")
     except (zipfile.BadZipFile, KeyError, OSError, ValueError) as e:
         raise ValueError(f"odt: {e}") from None
@@ -220,7 +244,7 @@ def extract_rtf_paragraphs(payload: bytes,
 def epub_chapters(payload: bytes) -> list[bytes]:
     """EPUB bytes → content-document (XHTML) bytes in spine order."""
     try:
-        with zipfile.ZipFile(io.BytesIO(payload)) as z:
+        with _Zip(io.BytesIO(payload)) as z:
             container = z.read("META-INF/container.xml")
             m = _ROOTFILE_RE.search(container)
             if not m:
@@ -275,7 +299,7 @@ _SHEET_NAME_RE = re.compile(r"^xl/worksheets/sheet(\d+)\.xml$")
 def extract_xlsx_rows(payload: bytes) -> list[str]:
     """XLSX bytes → one text line per non-empty sheet row."""
     try:
-        with zipfile.ZipFile(io.BytesIO(payload)) as z:
+        with _Zip(io.BytesIO(payload)) as z:
             names = z.namelist()
             shared: list[str] = []
             if "xl/sharedStrings.xml" in names:
@@ -337,7 +361,7 @@ _SLIDE_NAME_RE = re.compile(r"^ppt/slides/slide(\d+)\.xml$")
 def extract_pptx_paragraphs(payload: bytes) -> list[str]:
     """PPTX bytes → visible slide-paragraph texts in slide order."""
     try:
-        with zipfile.ZipFile(io.BytesIO(payload)) as z:
+        with _Zip(io.BytesIO(payload)) as z:
             names = z.namelist()
             slides = sorted(
                 (int(m.group(1)), n) for n in names

@@ -189,6 +189,10 @@ def _runlength_decode(data: bytes) -> bytes:
     return bytes(out)
 
 
+# FlateDecode inflates under the payload cap: past it the stream raises
+# ValueError and is skipped as undecodable, like a corrupt one
+from nidaba_ray.algorithms.inflate import inflate_zlib
+
 # LZWDecode (§7.4.4) is the TIFF-variant LZW shared with the TIFF
 # codec — one implementation in algorithms/lzw.py serves both specs
 # (the /EarlyChange parm maps straight onto its ``early`` argument).
@@ -196,8 +200,8 @@ from nidaba_ray.algorithms.lzw import lzw_decode as _lzw_decode
 
 
 _FILTER_DECODERS = {
-    b"FlateDecode": zlib.decompress,
-    b"Fl": zlib.decompress,
+    b"FlateDecode": inflate_zlib,
+    b"Fl": inflate_zlib,
     b"ASCIIHexDecode": _ascii_hex_decode,
     b"AHx": _ascii_hex_decode,
     b"ASCII85Decode": _ascii85_decode,

@@ -30,29 +30,32 @@ __all__ = [
     "block_quality_sql",
 ]
 
-def _weights_fingerprint() -> str:
-    """Content fingerprint for the weight cache key: md5 of the source
-    bytes of EVERY module the training labels depend on — this module,
-    the synth generator, and the extraction chain that
-    ``training_blocks`` drives (extract → segment/fastsegment →
-    score). A segmenter or scorer change alters the training matrix,
+def _sources_md5(*mods) -> str:
+    """md5 over the source bytes of this module and ``mods``, 12 hex
+    chars: the cache key of weights whose training labels those modules
+    produce. A segmenter or scorer change alters the training matrix,
     so it must invalidate cached weights too, or a machine holding a
     cache from an older checkout would serve stale weights and break
     byte-identity across machines (round-2 ADVICE item 1)."""
     import hashlib
 
-    from nidaba_ray import synth as _synth
-    from nidaba_ray.stages import extract as _extract
-    from nidaba_ray.stages import fastsegment as _fastsegment
-    from nidaba_ray.stages import score as _score
-    from nidaba_ray.stages import segment as _segment
-
     h = hashlib.md5()
-    for mod in (None, _synth, _extract, _segment, _fastsegment, _score):
-        mod_file = __file__ if mod is None else mod.__file__
+    for mod_file in (__file__, *(mod.__file__ for mod in mods)):
         with open(mod_file, "rb") as f:
             h.update(f.read())
     return h.hexdigest()[:12]
+
+
+def _weights_fingerprint() -> str:
+    """Cache key for the synth-trained weights: the synth generator and
+    the extraction chain that ``training_blocks`` drives (extract →
+    segment → score)."""
+    from nidaba_ray import synth as _synth
+    from nidaba_ray.stages import extract as _extract
+    from nidaba_ray.stages import score as _score
+    from nidaba_ray.stages import segment as _segment
+
+    return _sources_md5(_synth, _extract, _segment, _score)
 
 
 def default_weights(train_pages: int = 200) -> np.ndarray:
@@ -182,22 +185,13 @@ def _real_weights_fingerprint() -> str:
     and every module in the labelling chain (extract → segment →
     score → merge). Growing the fixture corpus or changing the
     extractor retrains automatically."""
-    import hashlib
-
     from nidaba_ray import realpages as _realpages
     from nidaba_ray.stages import extract as _extract
-    from nidaba_ray.stages import fastsegment as _fastsegment
     from nidaba_ray.stages import merge as _merge
     from nidaba_ray.stages import score as _score
     from nidaba_ray.stages import segment as _segment
 
-    h = hashlib.md5()
-    for mod in (None, _realpages, _extract, _segment, _fastsegment,
-                _score, _merge):
-        mod_file = __file__ if mod is None else mod.__file__
-        with open(mod_file, "rb") as f:
-            h.update(f.read())
-    return h.hexdigest()[:12]
+    return _sources_md5(_realpages, _extract, _segment, _score, _merge)
 
 
 def real_weights() -> np.ndarray:

@@ -157,6 +157,16 @@ def otsu_threshold(scores: np.ndarray, n_bins: int = N_BINS) -> float:
     return float(np.expm1(edges[k + 1]))
 
 
+def _nonempty(keep: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The variants' shared fallback: never emit an empty page if any
+    block scored > 0 — keep the argmax alone (deterministic: first
+    max)."""
+    if not keep.any() and scores.max() > 0:
+        keep = np.zeros(len(scores), dtype=bool)
+        keep[int(np.argmax(scores))] = True
+    return keep
+
+
 def keep_global_otsu(scores: np.ndarray) -> np.ndarray:
     """Variant A — global threshold from the page's score histogram.
 
@@ -174,13 +184,7 @@ def keep_global_otsu(scores: np.ndarray) -> np.ndarray:
         hi_mean = float(scores[keep].mean())
         if hi_mean < 3.0 * max(lo_mean, 1.0):
             keep = scores > 0
-    if not keep.any():
-        # fallback: never emit an empty page if any block scored > 0;
-        # keep the argmax (deterministic: first max).
-        if scores.max() > 0:
-            keep = np.zeros_like(keep)
-            keep[int(np.argmax(scores))] = True
-    return keep
+    return _nonempty(keep, scores)
 
 
 def keep_local_sauvola(
@@ -214,10 +218,7 @@ def keep_local_sauvola(
     s = np.sqrt(var)
     t = m * (1.0 + k * (s / r - 1.0))
     keep = (ls > t) & (scores > 0) & (ls > floor)
-    if not keep.any() and scores.max() > 0:
-        keep = np.zeros(n, dtype=bool)
-        keep[int(np.argmax(scores))] = True
-    return keep
+    return _nonempty(keep, scores)
 
 
 def keep_nlbin(scores: np.ndarray, low: float = 5.0, high: float = 90.0,
@@ -254,7 +255,4 @@ def keep_nlbin(scores: np.ndarray, low: float = 5.0, high: float = 90.0,
         return scores > 0
     norm = np.clip((ls - lo) / (hi - lo), 0.0, 1.0)
     keep = (norm > threshold) & (scores > 0)
-    if not keep.any() and scores.max() > 0:
-        keep = np.zeros(n, dtype=bool)
-        keep[int(np.argmax(scores))] = True
-    return keep
+    return _nonempty(keep, scores)

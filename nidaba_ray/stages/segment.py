@@ -8,11 +8,19 @@ inputs to main-content scoring (the binarization analog).
 
 The block *machine* (stack semantics: block/container/chrome/skip/
 anchor handling) lives in ONE class, ``BlockMachine``, driven by two
-parse fronts: the stdlib ``html.parser`` (reference) and the regex
-scanner in ``fastsegment.py`` (default, ~2× faster). Sharing the
-machine means the two fronts can only diverge in *tokenization*, which
-is exactly what the equivalence fuzz suite (tests/test_fastsegment.py)
-gates.
+parse fronts: ``segment_html``, a regex scanner (the production
+segmenter, ~2× faster — the stdlib parser was ~50% of flagship
+per-row cost, BASELINE.md), and ``segment_html_stdlib`` over the stdlib
+``html.parser`` (the reference). Sharing the machine means the two
+fronts can only diverge in *tokenization*, which is exactly what the
+equivalence fuzz suite (tests/test_fastsegment.py) gates: it pins
+them block-identical on the synth corpus and a tag-soup fuzz, and a
+change to either must re-run it. The scanner's intended scope is the one the
+reference needs:
+  * entities decoded in text nodes (html.unescape) and attr values;
+  * <script>/<style> content treated as raw data until the closing tag;
+  * comments / doctype / CDATA skipped;
+  * tag-soup tolerant (stray ``<`` is text; unclosed tags pop leniently).
 
 Real-page semantics (beyond the synthetic corpus):
   * structural containers (div/section/ul/table/...) are block
@@ -33,9 +41,10 @@ determinism requires every worker to run the same one.
 from __future__ import annotations
 
 import re
+from html import unescape
 from html.parser import HTMLParser
 
-__all__ = ["segment_html", "Block", "BlockMachine"]
+__all__ = ["segment_html", "segment_html_stdlib", "Block", "BlockMachine"]
 
 # Tags whose text forms its own block (reading-order leaf zones).
 BLOCK_TAGS = {
@@ -265,7 +274,7 @@ class _Segmenter(HTMLParser):
 
 def segment_html_stdlib(html_text: str) -> list[Block]:
     """Reference implementation over stdlib html.parser — kept as the
-    equivalence oracle for the fast scanner (tests/test_fastsegment.py
+    equivalence oracle for ``segment_html`` (tests/test_fastsegment.py
     asserts block-identical output; both must change together)."""
     seg = _Segmenter()
     seg.feed(html_text)
@@ -273,13 +282,166 @@ def segment_html_stdlib(html_text: str) -> list[Block]:
     return seg.m.blocks
 
 
+_TOKEN = re.compile(
+    # tag-name charsets mirror html.parser's tolerant regexes exactly
+    # (tagfind_tolerant / endtagfind): start names run to whitespace,
+    # '/', '>' or NUL (so '<p.x>' and even '<b<em>' are tag names);
+    # end names use the letter/digit/-.:_ charset with attrs ignored.
+    r"<!--.*?(?:-->|$)"                 # comments
+    r"|<!\[CDATA\[.*?(?:\]\]>|$)"       # CDATA
+    r"|<![^>]*>"                        # doctype / other declarations
+    r"|<\?[^>]*>"                       # processing instructions
+    r"|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)[^>]*>"  # end tag   (group 1)
+    r"|</[^>]*>",                       # bogus end tag → skipped (</>, </123>)
+    re.S,
+)
+_RAWDATA_END = {
+    # lookahead mirrors set_cdata_mode: '</scripty>' must NOT close
+    "script": re.compile(r"</script(?=[\s/>])[^>]*>|</script>", re.I),
+    "style": re.compile(r"</style(?=[\s/>])[^>]*>|</style>", re.I),
+}
+_HAS_ENTITY = re.compile(r"&[#a-zA-Z]")
+
+# Start tags are parsed with html.parser's OWN compiled regexes and a
+# faithful transcription of parse_starttag/check_for_whole_start_tag —
+# parity with the stdlib reference implementation by construction
+# (verified by the equivalence fuzz suite). All three are C-backed
+# compiled patterns; the walk runs once per tag.
+from html.parser import attrfind_tolerant as _ATTRFIND
+from html.parser import locatestarttagend_tolerant as _STDLIB_TAGEND
+from html.parser import tagfind_tolerant as _TAGFIND
+
+# a start tag opens on an ASCII letter only (html.parser's starttagopen);
+# '<' before any other character, a non-ASCII letter too, is text
+_ASCII_LETTERS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+)
+_LETTERS_EQ_SLASH = _ASCII_LETTERS | {"=", "/"}
+
+# Only these attributes influence block semantics (the machine above);
+# values of all others are skipped without group extraction.
+_INTEREST_ATTRS = frozenset(
+    ("class", "id", "role", "hidden", "aria-hidden", "style")
+)
+# Cheap pre-check on the raw tag slice: when none of the interesting
+# attr names can occur, the attr walk skips all group extraction (the
+# common case — most tags carry only href/src; false positives from
+# substrings in values just take the slower exact path).
+_HAS_INTEREST = re.compile(r"class|id|role|hidden|style", re.I)
+
+
 def segment_html(html_text: str) -> list[Block]:
     """Parse an HTML document into reading-order blocks.
 
     Never raises on tag soup (per-row error isolation happens one level
-    up, on decode failures). Dispatches to the regex-scanner
-    implementation (~2× faster; html.parser was 50% of flagship
-    per-row cost) — verified block-identical to the stdlib path."""
-    from nidaba_ray.stages.fastsegment import segment_html_fast
+    up, on decode failures). One regex-scanner pass drives the shared
+    machine; block-identical to ``segment_html_stdlib``."""
+    m = BlockMachine()
+    m_start = m.start
+    m_end = m.end
 
-    return segment_html_fast(html_text)
+    def data(raw: str) -> None:
+        # entity decode only when an entity is present
+        if m.skip_depth or not raw:
+            return
+        m.data(unescape(raw) if _HAS_ENTITY.search(raw) else raw)
+
+    pos = 0
+    n = len(html_text)
+    while pos < n:
+        lt = html_text.find("<", pos)
+        if lt == -1:
+            data(html_text[pos:])
+            break
+        if lt > pos:
+            data(html_text[pos:lt])
+        nxt = html_text[lt + 1] if lt + 1 < n else ""
+        if nxt in _ASCII_LETTERS:
+            # faithful check_for_whole_start_tag
+            m2 = _STDLIB_TAGEND.match(html_text, lt)
+            j = m2.end()
+            nxtc = html_text[j : j + 1]
+            if nxtc == ">":
+                endpos = j + 1
+            elif nxtc == "/":
+                if html_text.startswith("/>", j):
+                    endpos = j + 2
+                elif j + 1 >= n:
+                    endpos = -1  # buffer boundary → incomplete at EOF
+                else:
+                    endpos = j if j > lt else lt + 1
+            elif nxtc == "" or nxtc in _LETTERS_EQ_SLASH:
+                endpos = -1  # end of input mid-tag
+            else:
+                endpos = j if j > lt else lt + 1
+            if endpos < 0:
+                # goahead's EOF recovery: data up to and including the
+                # next '>', else up to the next '<', else just '<'
+                gt = html_text.find(">", lt + 1)
+                if gt >= 0:
+                    k2 = gt + 1
+                else:
+                    lt2 = html_text.find("<", lt + 1)
+                    k2 = lt2 if lt2 >= 0 else lt + 1
+                data(html_text[lt:k2])
+                pos = k2
+                continue
+            # faithful parse_starttag: name + attr walk decide whether
+            # the trailing text is '>', '/>' or junk (→ data); attrs of
+            # interest are extracted exactly as parse_starttag does
+            # (lowercased name, quote-stripped + unescaped value).
+            tm = _TAGFIND.match(html_text, lt + 1)
+            name = tm.group(1).lower()
+            k = tm.end()
+            attrs: list[tuple[str, str | None]] = []
+            if _HAS_INTEREST.search(html_text, k, endpos) is None:
+                while k < endpos:  # fast path: no group extraction
+                    am = _ATTRFIND.match(html_text, k)
+                    if not am:
+                        break
+                    k = am.end()
+            else:
+                while k < endpos:
+                    am = _ATTRFIND.match(html_text, k)
+                    if not am:
+                        break
+                    aname = am.group(1).lower()
+                    if aname in _INTEREST_ATTRS:
+                        rest, avalue = am.group(2), am.group(3)
+                        if not rest:
+                            avalue = None
+                        elif avalue[:1] == "'" == avalue[-1:] or \
+                                avalue[:1] == '"' == avalue[-1:]:
+                            avalue = avalue[1:-1]
+                        if avalue:
+                            avalue = unescape(avalue)
+                        attrs.append((aname, avalue))
+                    k = am.end()
+            end = html_text[k:endpos].strip()
+            if end not in (">", "/>"):
+                data(html_text[lt:endpos])  # malformed slice → text
+                pos = endpos
+                continue
+            if name in _RAWDATA_END and end == ">":
+                m_start(name, attrs)
+                m3 = _RAWDATA_END[name].search(html_text, endpos)
+                pos = n if m3 is None else m3.end()
+                m_end(name)
+                continue
+            m_start(name, attrs)
+            if end == "/>" and name not in VOID_TAGS:
+                m_end(name)
+            pos = endpos
+            continue
+        tok = _TOKEN.match(html_text, lt)
+        if tok is None:
+            data("<")  # stray '<' is text (lenient, like html.parser)
+            pos = lt + 1
+            continue
+        end_tag = tok.group(1)
+        pos = tok.end()
+        if end_tag is not None:
+            m_end(end_tag.lower())
+        # comments / doctype / CDATA / PI / bogus end tags: skipped
+    m._flush()
+    return m.blocks

@@ -4,6 +4,8 @@ NUL-stripe heuristic (gated on html structure), UTF-32 quarantines."""
 
 from __future__ import annotations
 
+import pytest
+
 from nidaba_ray.stages.extract import extract_row
 
 PAGE = ("<html><head><title>t</title></head><body>"
@@ -68,3 +70,68 @@ def test_utf16_feed_decodes_too():
     kind, spans, err = extract_row(feed.encode("utf-16"))
     assert kind == "feed" and [s["text"] for s in spans] == [
         "Chan", "Item one", "Body text here."]
+
+
+_RU = "Съешь же ещё этих мягких французских булок, да выпей чаю."
+_NOT_UTF8 = "payload is neither PDF nor valid UTF-8"
+
+
+def _page(head: str, body: bytes) -> bytes:
+    return (f"<html><head>{head}</head><body><p>".encode("ascii") + body
+            + b"</p></body></html>")
+
+
+# one row per rung and gate of the text-decode ladder: payload →
+# exact (kind, error), plus the first span's text when the row decodes
+LADDER = {
+    "utf8": (PAGE.encode("utf-8"), "html", "", None),
+    "utf8_bom_invalid_no_marker": (
+        b"\xef\xbb\xbfplain words \xff\xfe more words", "invalid",
+        _NOT_UTF8, None),
+    "utf8_bom_invalid_with_marker": (
+        b"\xef\xbb\xbf" + _page("", b"caf\xe9 au lait, served warm"),
+        "html", "", "café au lait, served warm"),
+    "declared_koi8r": (
+        _page('<meta charset="koi8-r">', _RU.encode("koi8-r")),
+        "html", "", _RU),
+    "declared_cp1251": (
+        _page('<meta http-equiv="Content-Type" '
+              'content="text/html; charset=cp1251">', _RU.encode("cp1251")),
+        "html", "", _RU),
+    "declared_unlisted_latin1_gate": (
+        _page('<meta charset="x-user-defined">', b"na\xefve text here"),
+        "html", "", "naïve text here"),
+    "declared_unlisted_no_marker": (
+        b'<?xml version="1.0" encoding="x-user-defined"?><p>na\xefve</p>',
+        "invalid", _NOT_UTF8, None),
+    "utf16_bom_le": (PAGE.encode("utf-16"), "html", "", None),
+    "utf16_bom_be": (b"\xfe\xff" + PAGE.encode("utf-16-be"), "html", "",
+                     None),
+    "bomless_utf16_with_marker": (PAGE.encode("utf-16-le"), "html", "",
+                                  None),
+    # ASCII-only UTF-16 is valid UTF-8 (NULs and all): the plain gate
+    "bomless_utf16_ascii_no_marker": (
+        "just some words".encode("utf-16-le"), "invalid",
+        "payload is not markup", None),
+    # non-ASCII UTF-16 fails UTF-8: the NUL-stripe rung, then latin-1
+    "bomless_utf16_no_marker": (
+        "jüst söme wörds".encode("utf-16-le"), "invalid", _NOT_UTF8, None),
+    "utf32_bom": (PAGE.encode("utf-32"), "invalid",
+                  "utf-32 payloads unsupported", None),
+    "utf16_corrupt": (b"\xff\xfe\x41\x00\x42", "invalid",
+                      "utf-16: corrupt stream", None),
+    "not_markup": (b"a few short words", "invalid", "payload is not markup",
+                   None),
+    "no_html_structure": (b"if a < b then say so", "invalid",
+                          "payload has no recognizable html structure",
+                          None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER))
+def test_decode_ladder_exact(case):
+    payload, kind, error, first_text = LADDER[case]
+    got_kind, spans, got_error = extract_row(payload)
+    assert (got_kind, got_error) == (kind, error)
+    if first_text is not None:
+        assert spans[0]["text"] == first_text

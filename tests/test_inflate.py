@@ -8,6 +8,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import lzma
+import zlib
 
 import pytest
 
@@ -16,6 +17,7 @@ from nidaba_ray.algorithms.inflate import (
     MAX_INFLATED_BYTES,
     InflateError,
     inflate,
+    inflate_zlib,
 )
 from nidaba_ray.stages.extract import extract_row
 
@@ -95,3 +97,19 @@ def test_sitemap_gzip_bomb_raises():
 
     with pytest.raises(ValueError, match="exceeds cap"):
         parse_sitemap(gzip.compress(bytes(MAX_INFLATED_BYTES + 1), mtime=0))
+
+
+def test_zlib_stream_keeps_one_shot_semantics(monkeypatch):
+    # PDF FlateDecode: one zlib stream, as zlib.decompress reads it
+    body = zlib.compress(b"x" * 100)
+    for tail in (b"", b"junk", zlib.compress(b"second")):
+        assert inflate_zlib(body + tail) == zlib.decompress(body + tail)
+    for bad in (body[:-1], body[:5], b"", b"\x00" + body):
+        with pytest.raises(zlib.error):
+            zlib.decompress(bad)
+        with pytest.raises(zlib.error):
+            inflate_zlib(bad)
+    monkeypatch.setattr(inflate_mod, "MAX_INFLATED_BYTES", 100)
+    assert inflate_zlib(body) == b"x" * 100
+    with pytest.raises(InflateError, match="exceeds cap"):
+        inflate_zlib(zlib.compress(b"x" * 101))

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import gzip
 import io
+import tracemalloc
 import zipfile
 
 import pytest
 
+from nidaba_ray.algorithms.inflate import MAX_INFLATED_BYTES
 from nidaba_ray.stages.extract import extract_row
 from nidaba_ray.stages.merge import vote_row
 from nidaba_ray.stages.office import (
@@ -343,3 +345,61 @@ def test_pptx_paragraphs_and_dispatch():
     assert (kind, err) == ("pptx", "")
     assert [s["text"] for s in spans] == [
         "Title of the talk", "first run second run", "Closing remarks"]
+
+
+# ---------------------------------------------------------------------------
+# Zip bombs: every member read counts against one per-container cap
+
+
+def _zip_of_nuls(members: dict[str, int], extra=()) -> bytes:
+    """A deflated zip: each member is ``size`` NUL bytes, written 1 MiB
+    at a time; ``extra`` members are (name, bytes) pairs."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as z:
+        for name, data in extra:
+            z.writestr(name, data)
+        chunk = bytes(1 << 20)
+        for name, size in members.items():
+            with z.open(name, "w") as f:
+                for _ in range(size >> 20):
+                    f.write(chunk)
+    return buf.getvalue()
+
+
+def test_docx_member_over_cap_quarantines():
+    payload = _zip_of_nuls({"word/document.xml": 65 << 20})
+    assert len(payload) < 100_000
+    assert zipfile.ZipFile(io.BytesIO(payload)).getinfo(
+        "word/document.xml").file_size > MAX_INFLATED_BYTES
+    kind, spans, err = extract_row(payload)
+    assert (kind, spans) == ("invalid", [])
+    assert err.endswith(
+        "docx: word/document.xml: decompressed size exceeds cap"), err
+
+
+def test_xlsx_members_over_cap_together_quarantine():
+    sheets = {f"xl/worksheets/sheet{i}.xml": 33 << 20 for i in (1, 2)}
+    assert all(size <= MAX_INFLATED_BYTES for size in sheets.values())
+    payload = _zip_of_nuls(sheets, [("xl/workbook.xml", b"<workbook/>")])
+    kind, spans, err = extract_row(payload)
+    assert (kind, spans) == ("invalid", [])
+    assert err.endswith(
+        "xlsx: xl/worksheets/sheet2.xml: decompressed size exceeds cap"), err
+
+
+def test_zip_member_inflates_only_its_declared_size():
+    # the central directory understates the member's size: the read
+    # stops near the declared size (and fails the CRC) instead of
+    # inflating the whole stream
+    payload = bytearray(_zip_of_nuls({"word/document.xml": 32 << 20}))
+    cd = payload.index(b"PK\x01\x02")
+    payload[cd + 24:cd + 28] = (1000).to_bytes(4, "little")
+    tracemalloc.start()
+    try:
+        kind, spans, err = extract_row(bytes(payload))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (kind, spans) == ("invalid", [])
+    assert "docx:" in err, err
+    assert peak < 4 << 20, peak

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import base64
 import random
+import tracemalloc
 import zlib
 
 import pytest
 
+from nidaba_ray.algorithms.inflate import MAX_INFLATED_BYTES
+from nidaba_ray.stages.extract import extract_row
 from nidaba_ray.stages.pdf import (
     _apply_filter_chain,
     _ascii85_decode,
@@ -313,3 +316,36 @@ def test_pdf_image_codec_stream_skipped_not_parsed():
         b"%%EOF\n"
     )
     assert extract_pdf_blocks(pdf) == ["ok"]
+
+
+# ---------------------------------------------------------------------------
+# FlateDecode inflates under the payload cap
+
+
+def test_flate_bomb_stream_is_skipped_within_bounded_memory():
+    # Peak allocation is bounded by the cap, not by the 4x-cap stream:
+    # the capped inflate holds its output twice at its peak (CPython's
+    # zlib output buffer joins its blocks), and the stream-object scan
+    # adds about half a cap for this ~260 kB stream. An uncapped
+    # inflate would need 4x the cap for its output alone.
+    c = zlib.compressobj(9)
+    chunk = bytes(1 << 20)
+    bomb = b"".join(c.compress(chunk)
+                    for _ in range(4 * MAX_INFLATED_BYTES >> 20)) + c.flush()
+    text = zlib.compress(b"BT (kept paragraph) Tj ET")
+    pdf = (b"%PDF-1.4\n1 0 obj << /Type /Catalog >> endobj\n"
+           b"2 0 obj << /Length " + str(len(bomb)).encode()
+           + b" /Filter /FlateDecode >> stream\n" + bomb
+           + b"\nendstream endobj\n"
+           b"3 0 obj << /Length " + str(len(text)).encode()
+           + b" /Filter /Fl >> stream\n" + text
+           + b"\nendstream endobj\ntrailer << /Root 1 0 R >>\n%%EOF\n")
+    tracemalloc.start()
+    try:
+        kind, spans, err = extract_row(pdf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (kind, err) == ("pdf", "")
+    assert [s["text"] for s in spans] == ["kept paragraph"]
+    assert peak < 3 * MAX_INFLATED_BYTES, peak
