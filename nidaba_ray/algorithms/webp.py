@@ -473,7 +473,9 @@ def _inv_predictor(img: np.ndarray, modes: np.ndarray, bits: int) -> None:
                 L = int(img[y, x - 1])
                 T = int(img[y - 1, x])
                 TL = int(img[y - 1, x - 1])
-                TR = int(img[y - 1, x + 1]) if x + 1 < w else int(img[y - 1, x])
+                # rightmost column: TR is the leftmost pixel of the
+                # CURRENT row (RFC 9649 §4.1), already reconstructed
+                TR = int(img[y - 1, x + 1]) if x + 1 < w else int(img[y, 0])
                 pred = _predict(mode, L, T, TL, TR)
             img[y, x] = _add_px(int(img[y, x]), pred)
 
@@ -849,7 +851,7 @@ def _forward_predictor(argb: np.ndarray, mode: int, bits: int) -> np.ndarray:
                 T = int(argb[y - 1, x])
                 TL = int(argb[y - 1, x - 1])
                 TR = (int(argb[y - 1, x + 1]) if x + 1 < w
-                      else int(argb[y - 1, x]))
+                      else int(argb[y, 0]))
                 pred = _predict(mode, L, T, TL, TR)
             res[y, x] = _sub_px(int(argb[y, x]), pred)
     return res

@@ -7,11 +7,19 @@ Per the north_star: "Sauvola/Otsu-style binary thresholding ... reborn
 as DOM-tree boilerplate classification and block-level main-content
 scoring (text-density + link-density heuristics)".
 
-Every kernel here is numpy over per-page score arrays; thresholds are
-chosen from the page's *own* score histogram (exactly how Otsu picks a
-global image threshold) and from sliding local windows (Sauvola).
-Scores are log-compressed before histogramming so the split is scale
-invariant (a 30 kB article and a 300-byte stub threshold the same way).
+Thresholds are chosen from the page's *own* score histogram (exactly
+how Otsu picks a global image threshold) and from sliding local
+windows (Sauvola). Scores are log-compressed before histogramming so
+the split is scale invariant (a 30 kB article and a 300-byte stub
+threshold the same way).
+
+The Otsu and Sauvola kernels are ragged-batch kernels: one call takes
+a whole Arrow batch's block scores back to back plus page offsets
+(``offsets=None`` is one page) and runs a fixed number of numpy calls
+for the batch instead of ~20 per page. Each page's result is
+bit-for-bit its one-page result, so output does not depend on where
+batches split. nlbin stays per page: the vote computes it only for
+the rows that read it (stages/merge.py).
 """
 
 from __future__ import annotations
@@ -133,28 +141,78 @@ def suppress_isolated(raw: np.ndarray, smoothed: np.ndarray,
     return np.where(weak, 0.0, smoothed)
 
 
-def otsu_threshold(scores: np.ndarray, n_bins: int = N_BINS) -> float:
-    """Otsu's method over log1p(score) histogram: the threshold (in log
-    space) maximizing between-class variance. Returns the threshold in
-    *raw score* space. Faithful to the classic algorithm (public
-    knowledge), applied to block scores instead of pixels."""
-    ls = np.log1p(scores)
-    lo, hi = float(ls.min()), float(ls.max())
-    if hi - lo < 1e-12:
-        return -1.0  # degenerate page: single level → keep everything
-    hist, edges = np.histogram(ls, bins=n_bins, range=(lo, hi))
-    p = hist.astype(np.float64) / hist.sum()
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    w0 = np.cumsum(p)
+def _page_offsets(scores: np.ndarray,
+                  offsets: np.ndarray | None) -> np.ndarray:
+    """``offsets`` as an intp array; ``None`` means one page."""
+    if offsets is None:
+        return np.array([0, len(scores)], dtype=np.intp)
+    return np.asarray(offsets, dtype=np.intp)
+
+
+def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per element of back-to-back runs of ``lengths``: its run's index
+    and its position inside the run."""
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    return row, np.arange(len(row)) - (np.cumsum(lengths) - lengths)[row]
+
+
+def _otsu_thresholds(ls: np.ndarray, offsets: np.ndarray,
+                     n_bins: int = N_BINS) -> np.ndarray:
+    """Per page: Otsu's threshold over its log1p-score histogram, in raw
+    score space; ``-1.0`` for a single-level or empty page.
+
+    Bit-for-bit the per-page ``np.histogram`` + cumulative-sum
+    computation, batched: segmented min/max; ``np.linspace`` over the
+    non-degenerate pages only (one zero step anywhere would switch it
+    to its other rounding path); ``np.histogram``'s uniform-bin index
+    with its ±1 edge correction; one ``bincount``; row-wise
+    ``cumsum`` (sequential, so equal to the per-page sums)."""
+    counts = np.diff(offsets)
+    t = np.full(len(counts), -1.0)
+    live = np.flatnonzero(counts)
+    if len(live) == 0:
+        return t
+    lo = np.minimum.reduceat(ls, offsets[live])
+    hi = np.maximum.reduceat(ls, offsets[live])
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        # np.histogram's own check on the range
+        raise ValueError("otsu: log-score range is not finite")
+    split = hi - lo >= 1e-12
+    pages = live[split]
+    if len(pages) == 0:
+        return t
+    lo, hi = lo[split], hi[split]
+    edges = np.linspace(lo, hi, n_bins + 1, axis=1)
+    row, i = _runs(counts[pages])
+    x = ls[offsets[pages][row] + i]
+    b = ((x - lo[row]) / (hi - lo)[row] * n_bins).astype(np.intp)
+    b[b == n_bins] -= 1
+    b[x < edges[row, b]] -= 1
+    b[(x >= edges[row, b + 1]) & (b != n_bins - 1)] += 1
+    hist = np.bincount(row * n_bins + b, minlength=len(pages) * n_bins)
+    p = hist.reshape(len(pages), n_bins) / counts[pages][:, None]
+    centers = (edges[:, :-1] + edges[:, 1:]) / 2.0
+    w0 = np.cumsum(p, axis=1)
     w1 = 1.0 - w0
-    mu = np.cumsum(p * centers)
-    mu_t = mu[-1]
+    mu = np.cumsum(p * centers, axis=1)
+    mu_t = mu[:, -1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         between = np.where(
             (w0 > 0) & (w1 > 0), (mu_t * w0 - mu) ** 2 / (w0 * w1), 0.0
         )
-    k = int(np.argmax(between))  # first maximum → deterministic
-    return float(np.expm1(edges[k + 1]))
+    k = np.argmax(between, axis=1)  # first maximum → deterministic
+    t[pages] = np.expm1(edges[np.arange(len(pages)), k + 1])
+    return t
+
+
+def otsu_threshold(scores: np.ndarray, n_bins: int = N_BINS) -> float:
+    """Otsu's method over log1p(score) histogram: the threshold (in log
+    space) maximizing between-class variance. Returns the threshold in
+    *raw score* space (``-1.0`` for a single-level page). Faithful to
+    the classic algorithm (public knowledge), applied to block scores
+    instead of pixels."""
+    offsets = _page_offsets(scores, None)
+    return float(_otsu_thresholds(np.log1p(scores), offsets, n_bins)[0])
 
 
 def _nonempty(keep: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -167,30 +225,99 @@ def _nonempty(keep: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return keep
 
 
-def keep_global_otsu(scores: np.ndarray) -> np.ndarray:
+def _kept_per_page(keep: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    page = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return np.bincount(page[keep], minlength=len(offsets) - 1)
+
+
+def _fill_empty_pages(keep: np.ndarray, scores: np.ndarray,
+                      offsets: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``_nonempty`` on each non-empty page that kept no block (rare)."""
+    for j in np.flatnonzero((kept == 0) & (np.diff(offsets) > 0)):
+        a, b = offsets[j], offsets[j + 1]
+        keep[a:b] = _nonempty(keep[a:b], scores[a:b])
+    return keep
+
+
+def keep_global_otsu(scores: np.ndarray,
+                     offsets: np.ndarray | None = None) -> np.ndarray:
     """Variant A — global threshold from the page's score histogram.
+
+    ``scores`` may hold several pages back to back, page ``j`` being
+    ``scores[offsets[j]:offsets[j + 1]]`` (``offsets=None``: one
+    page); the keep mask is aligned with ``scores`` and each page's
+    slice equals its own one-page result.
 
     Otsu assumes a bimodal histogram; an all-content page (e.g. a PDF
     with uniform block scores) is unimodal and a blind threshold would
     cut the cluster in half. Guard: if the two classes' raw-score means
     are not well separated (< 3×), the page is single-class → keep
     every positive-score block."""
-    if len(scores) == 0:
-        return np.zeros(0, dtype=bool)
-    t = otsu_threshold(scores)
-    keep = scores > max(t, 0.0)
-    if keep.any() and not keep.all():
-        lo_mean = float(scores[~keep].mean())
-        hi_mean = float(scores[keep].mean())
+    offsets = _page_offsets(scores, offsets)
+    counts = np.diff(offsets)
+    t = _otsu_thresholds(np.log1p(scores), offsets)
+    keep = scores > np.repeat(np.maximum(t, 0.0), counts)
+    kept = _kept_per_page(keep, offsets)
+    # the guard's class means stay per page: a batched (reduceat) sum
+    # does not round like ndarray.mean, and could flip a decision
+    for j in np.flatnonzero((kept > 0) & (kept < counts)):
+        a, b = offsets[j], offsets[j + 1]
+        s, kj = scores[a:b], keep[a:b]
+        lo_mean = float(s[~kj].mean())
+        hi_mean = float(s[kj].mean())
         if hi_mean < 3.0 * max(lo_mean, 1.0):
-            keep = scores > 0
-    return _nonempty(keep, scores)
+            keep[a:b] = s > 0
+    return _fill_empty_pages(keep, scores, offsets, kept)
+
+
+def _padded_rows(ls: np.ndarray, offsets: np.ndarray, pages: np.ndarray,
+                 half: int, width: int) -> np.ndarray:
+    """A (pages × ``width``) zero matrix, row j holding ``[0, page j's
+    log-scores edge-padded by half]`` (what the one-page ``np.pad`` +
+    leading zero builds). Its own function so the index temporaries
+    are freed before the caller's cumsums allocate."""
+    n = offsets[pages + 1] - offsets[pages]
+    row, q = _runs(n + 2 * half)
+    # padded position q reads the page's block clip(q - half, 0, n - 1)
+    src = offsets[pages][row] + np.clip(q - half, 0, (n - 1)[row])
+    mat = np.zeros((len(pages), width))
+    mat[row, q + 1] = ls[src]
+    return mat
+
+
+def _window_sums(ls: np.ndarray, offsets: np.ndarray, pages: np.ndarray,
+                 window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of ``pages``: the sum and the sum of squares of the
+    ``window`` edge-padded log-scores centred on it, from a row-wise
+    ``cumsum`` of its page's padded row, as the one-page computation
+    does (a cumsum across pages would round differently). Pages share a
+    matrix only with pages of the same power-of-two padded length, so
+    scratch stays within 2× the padded blocks however ragged the batch
+    is."""
+    half = window // 2
+    s1 = np.empty(len(ls))
+    s2 = np.empty(len(ls))
+    padded = offsets[pages + 1] - offsets[pages] + 2 * half
+    width_exp = np.frexp(padded.astype(np.float64))[1]  # 2**e > padded
+    for e in np.unique(width_exp):
+        bucket = pages[width_exp == e]
+        mat = _padded_rows(ls, offsets, bucket, half, 1 << int(e))
+        c1 = np.cumsum(mat, axis=1)
+        mat *= mat
+        c2 = np.cumsum(mat, axis=1, out=mat)
+        row, i = _runs(offsets[bucket + 1] - offsets[bucket])
+        idx = offsets[bucket][row] + i
+        s1[idx] = c1[row, i + window] - c1[row, i]
+        s2[idx] = c2[row, i + window] - c2[row, i]
+    return s1, s2
 
 
 def keep_local_sauvola(
-    scores: np.ndarray, window: int = 5, k: float = 0.34, r: float = 4.0
+    scores: np.ndarray, offsets: np.ndarray | None = None, window: int = 5,
+    k: float = 0.34, r: float = 4.0,
 ) -> np.ndarray:
-    """Variant B — Sauvola-style local adaptive threshold.
+    """Variant B — Sauvola-style local adaptive threshold, over one or
+    several back-to-back pages (``offsets`` as in ``keep_global_otsu``).
 
     T_i = m_i · (1 + k·(s_i/R − 1)) over a centered window of
     ``window`` blocks in reading order (m=mean, s=std of log1p scores);
@@ -200,25 +327,24 @@ def keep_local_sauvola(
     would keep boilerplate islands surrounded by more boilerplate).
     Still differs from variant A on borderline pages — the
     disagreement feeds the merge/vote stage (SURVEY.md §2.2)."""
-    n = len(scores)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
+    offsets = _page_offsets(scores, offsets)
+    counts = np.diff(offsets)
+    live = np.flatnonzero(counts)
+    if len(live) == 0:
+        return np.zeros(len(scores), dtype=bool)
     ls = np.log1p(scores)
-    floor = 0.25 * float(ls.max())
-    half = window // 2
+    peak = np.zeros(len(counts))
+    peak[live] = np.maximum.reduceat(ls, offsets[live])
     # windowed mean/std via cumulative sums (vectorized, O(n))
-    pad = np.pad(ls, (half, half), mode="edge")
-    zero = np.zeros(1)
-    # concatenate, not np.insert — same values, ~3× less overhead on
-    # these tiny per-page arrays (profiled)
-    c1 = np.cumsum(np.concatenate((zero, pad)))
-    c2 = np.cumsum(np.concatenate((zero, pad * pad)))
-    m = (c1[window:] - c1[:-window]) / window
-    var = np.maximum((c2[window:] - c2[:-window]) / window - m * m, 0.0)
+    s1, s2 = _window_sums(ls, offsets, live, window)
+    m = s1 / window
+    var = np.maximum(s2 / window - m * m, 0.0)
     s = np.sqrt(var)
     t = m * (1.0 + k * (s / r - 1.0))
+    floor = np.repeat(0.25 * peak, counts)
     keep = (ls > t) & (scores > 0) & (ls > floor)
-    return _nonempty(keep, scores)
+    return _fill_empty_pages(keep, scores, offsets,
+                             _kept_per_page(keep, offsets))
 
 
 def keep_nlbin(scores: np.ndarray, low: float = 5.0, high: float = 90.0,

@@ -283,15 +283,18 @@ def segment_html_stdlib(html_text: str) -> list[Block]:
 
 
 _TOKEN = re.compile(
-    # tag-name charsets mirror html.parser's tolerant regexes exactly
-    # (tagfind_tolerant / endtagfind): start names run to whitespace,
-    # '/', '>' or NUL (so '<p.x>' and even '<b<em>' are tag names);
-    # end names use the letter/digit/-.:_ charset with attrs ignored.
+    # tag-name charsets mirror html.parser's regexes exactly. An end
+    # tag is parse_endtag's two tries: the strict endtagfind (letter/
+    # digit/-.:_ name, then only whitespace before '>'); failing that,
+    # the tagfind_tolerant name right after '</', which runs to
+    # whitespace, '/', '>' or NUL (so '</li|<li>' closes 'li|<li'),
+    # and everything up to the next '>' is consumed.
     r"<!--.*?(?:-->|$)"                 # comments
     r"|<!\[CDATA\[.*?(?:\]\]>|$)"       # CDATA
     r"|<![^>]*>"                        # doctype / other declarations
     r"|<\?[^>]*>"                       # processing instructions
-    r"|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)[^>]*>"  # end tag   (group 1)
+    r"|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>"   # strict end tag   (group 1)
+    r"|</([a-zA-Z][^\t\n\r\f />\x00]*)[^>]*>"  # tolerant end tag (group 2)
     r"|</[^>]*>",                       # bogus end tag → skipped (</>, </123>)
     re.S,
 )
@@ -438,7 +441,7 @@ def segment_html(html_text: str) -> list[Block]:
             data("<")  # stray '<' is text (lenient, like html.parser)
             pos = lt + 1
             continue
-        end_tag = tok.group(1)
+        end_tag = tok.group(1) or tok.group(2)
         pos = tok.end()
         if end_tag is not None:
             m_end(end_tag.lower())

@@ -46,6 +46,9 @@ FRAGS = [
     "</p attr>", "<p/>", "<b<em>", "<p\tc=1>", "<b/ x>", "<b /x>",
     "<img src=x/>", "attr='v'", "<g c=/>", "</scripty>",
     "<a href=x\"y>", '<a href="x>',
+    # non-strict end tags: the tolerant name runs to whitespace, '/',
+    # '>' or NUL, so these close nothing (or only their own name)
+    "</li|", "</a\x17", "</p x", "</b<i>",
     # attr-driven semantics (chrome classes, hidden subtrees, roles)
     '<div class="sidebar">', '<div class=cookie-banner>', "</div>",
     '<section id="comments">', "</section>", '<div class="article-body">',
@@ -91,6 +94,7 @@ def test_arbitrary_text_equivalence(text):
     "<![CDATA[ not text ]]><p>y</p>",
     "<p title='a>b'>attr with gt</p>",
     "<p>x<âl>y <ß>z</p>",                        # '<' + non-ASCII letter
+    "<ul><li>a</li|<li>b",                       # '</li|<li>' closes nothing
 ])
 def test_known_edge_cases(html):
     assert_same(html)

@@ -2,7 +2,9 @@
 (``FusedExtract``) and the three registry stages that example specs
 compose (``extract.candidates`` → ``merge.threshold_vote`` →
 ``postprocess.spell``) must produce equal tables, column for column,
-with and without the spell step. No Ray: both sides run in process."""
+with and without the spell step. The threshold kernels run once per
+batch, so output must also not depend on where batches split. No Ray:
+both sides run in process."""
 
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ import pytest
 from nidaba_ray import realpages, synth
 from nidaba_ray.pipelines.extract import FusedExtract
 from nidaba_ray.stages.extract import ExtractCandidates
-from nidaba_ray.stages.merge import threshold_and_vote
+from nidaba_ray.stages import score as scoremod
+from nidaba_ray.stages.merge import threshold_and_vote, vote_row
 from nidaba_ray.stages.spell import SpellFilter
 
 
@@ -80,3 +83,51 @@ def test_dialect_slice_reaches_every_path():
     errors = [e for e in out["error"].to_pylist() if e]
     assert sorted(errors) == ["docx: no visible text", "gzip: corrupt stream",
                               "pdf: no text operators found"]
+
+
+def _batched(fn, pages: pa.Table, size: int) -> pa.Table:
+    return pa.concat_tables([fn(pages.slice(i, size))
+                             for i in range(0, pages.num_rows, size)])
+
+
+def _assert_equal_tables(got: pa.Table, want: pa.Table, label) -> None:
+    assert got.schema == want.schema, label
+    for col in want.column_names:
+        assert got[col].combine_chunks().equals(want[col].combine_chunks()), (label, col)
+
+
+@pytest.mark.parametrize("name", sorted(PAGES))
+def test_output_does_not_depend_on_batch_boundaries(name):
+    pages = PAGES[name]()
+    whole = FusedExtract()(pages)
+    for size in (1, 7, 64):
+        _assert_equal_tables(_batched(FusedExtract(), pages, size), whole, size)
+    unspelled = FusedExtract(spell=False)(pages)
+    extract = ExtractCandidates()
+    for size in (1, 64):
+        staged = _batched(lambda b: threshold_and_vote(extract(b)), pages, size)
+        _assert_equal_tables(staged, unspelled, ("registry", size))
+
+
+def test_vote_row_runs_nlbin_only_when_a_and_b_differ(monkeypatch):
+    calls = []
+    keep_nlbin = scoremod.keep_nlbin
+
+    def counting(scores):
+        calls.append(len(scores))
+        return keep_nlbin(scores)
+
+    monkeypatch.setattr(scoremod, "keep_nlbin", counting)
+
+    def spans(scores):
+        return [{"text": f"block{i}", "score": s, "kind": "p"}
+                for i, s in enumerate(scores)]
+
+    # Otsu and Sauvola keep the same blocks: agree, C never computed
+    *_, prov, _, _ = vote_row(spans([5.0, 300.0, 0.0, 8.0, 250.0, 0.0, 40.0]),
+                              None, "html", "en")
+    assert prov[-1]["variant"] == "agree" and calls == []
+    # Sauvola keeps two more blocks than Otsu: C joins the vote, once
+    *_, prov, _, _ = vote_row(spans([8.0, 250.0, 79.0, 24.0, 175.0, 12.0]),
+                              None, "html", "en")
+    assert prov[-1]["variant"] == "vote" and calls == [6]

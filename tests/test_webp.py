@@ -15,6 +15,8 @@ import pytest
 from nidaba_ray.algorithms.webp import (
     _DIST_PAIRS,
     _BitWriter,
+    _forward_predictor,
+    _inv_predictor,
     _write_code,
     decode_webp,
     encode_webp,
@@ -96,6 +98,42 @@ def test_roundtrip_every_predictor_mode(mode):
     # non-multiple-of-tile sizes exercise the block-index edges
     g = rng.integers(0, 256, size=(17, 35)).astype(np.uint8)
     _rt(g, use_palette=False, predictor_mode=mode, predictor_bits=3)
+
+
+def _avg2(a, b):
+    """Per-channel floor average of two ARGB words (RFC 9649 Average2)."""
+    return sum((((a >> s) & 0xFF) + ((b >> s) & 0xFF)) >> 1 << s
+               for s in (0, 8, 16, 24))
+
+
+@pytest.mark.parametrize("mode", [3, 5, 9, 10])
+def test_predictor_rightmost_column_tr_is_current_row_leftmost(mode):
+    """RFC 9649 §4.1: on the rightmost column the TR pixel is the
+    leftmost pixel of the CURRENT row. A hand-built 2×3 residual image
+    under one TR-reading mode, decoded by ``_inv_predictor`` and checked
+    against the spec's arithmetic."""
+    residual = np.array([[0x00112233, 0x00010101, 0x00010101],
+                         [0x00404040, 0x00000000, 0x00000000]], np.uint32)
+    # row 0 and column 0 predict from L / T (mode-independent borders)
+    p00, p01, p02 = 0xFF112233, 0xFF122334, 0xFF132435
+    p10 = 0xFF516273
+
+    def predict(L, T, TL, TR):
+        return {3: TR,
+                5: _avg2(_avg2(L, TR), T),
+                9: _avg2(T, TR),
+                10: _avg2(_avg2(L, TL), _avg2(T, TR))}[mode]
+
+    p11 = predict(L=p10, T=p01, TL=p00, TR=p02)
+    p12 = predict(L=p11, T=p02, TL=p01, TR=p10)  # TR = row 1, column 0
+    img = residual.copy()
+    _inv_predictor(img, np.array([[mode << 8]], np.uint32), 2)
+    assert [[int(v) for v in r] for r in img] == [[p00, p01, p02],
+                                                  [p10, p11, p12]]
+    if mode == 3:
+        assert p12 == p10 == 0xFF516273
+    # the encoder's residuals follow the same rule
+    assert np.array_equal(_forward_predictor(img, mode, 2), residual)
 
 
 def test_roundtrip_color_transform_and_combos():
