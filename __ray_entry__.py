@@ -38,52 +38,60 @@ def entry() -> Any:
 def queries() -> dict[str, Callable[[str], Any]]:
     """Exactly 50 entries (the driver's CORRECTNESS artifact caps at
     50 — round-2 verdict item 1), ordered oracle-bearing first so every
-    oracle row is inside the checked window. Superseded/demo variants
-    are NOT listed here but remain implemented and pinned in pytest
-    against the listed entry that covers them:
+    oracle row is inside the checked window. Each operator has ONE
+    implementation. These live operators are NOT listed here; each is
+    pinned in pytest. Names are relative to the nidaba_ray package,
+    and tests/test_module_audit.py resolves every double-backticked
+    one:
 
-      * ngram_jaccard_pairs       (DEMO, quadratic)   → ngram_jaccard_pairs_exact
-      * dup_clusters / _exact     (driver union-find) → dup_clusters_exact_distributed
-        (property-pinned ≡; the union-find path stays the pytest reference)
-      * embedding_near_dup        (in-bucket variant) → embedding_near_dup_scalable
-      * ann_topk_ivf              (unpartitioned)     → ann_topk_ivf_partitioned
-      * kmeans_embeddings         (shared Lloyd trainer, convergence-
-        pinned; exercised by the IVF build)
-      * event_value_quantiles_sketch (error-bound-pinned scale variant
-        of the oracle-checked exact quantiles)
-      * gopher_quality_flags      (full Rae-2021 gate; 6 document
-        rules DuckDB-parity-tested in tests/test_gopher.py, the
-        repetition flag pinned on crafted docs)
-      * c4_filtered / clean.c4    (line-rule rewrite, byte-exact
-        DuckDB parity over a survivor-bearing corpus; the synthetic
-        corpus itself has no terminal punctuation so the driver-side
-        result would be empty — pytest covers both facts)
-      * clean.gopher / clean.c4 / training_data_clean.yaml (registry
-        cleaning stages + composed WET-style spec, runner-tested)
-      * fineweb_quality_flags / clean.fineweb (the three published
-        FineWeb gates; full DuckDB parity in tests/test_gopher.py)
-      * mixture_sample / stratified_sample (deterministic md5-keyed
-        training-mixture construction; DuckDB parity + layout
-        invariance in tests/test_sampling.py)
-      * fingerprint_md5 (trivial SELECT md5(text) — ceded its surface
-        slot to dsir_select in round 5; SQL parity stays pinned in
-        tests/test_dsir.py and the timing stays in bench.py)
-      * semdedup / semdedup_kept (Abbas-2023 embedding-cluster
-        semantic dedup over the cached IVF clustering; FULL SQL
-        replay — ranking + pair graph + the greedy as a recursive
-        CTE — plus an independent naive reference in
-        tests/test_semdedup.py; bench-timed)
-      * bpe_token_count / train_bpe (Sennrich-2016 trained BPE —
-        hand-computed merge pins + a greedy≡apply-in-order
-        differential reference in tests/test_bpe.py; bench-timed;
-        subword_token_count keeps the driver slot as the
-        SQL-replayable estimate)
-      * url_canonicalize / url_dedup_latest (canonical-URL re-crawl
+      * ``functions.ann.kmeans_embeddings`` (float Lloyd k-means,
+        convergence + monotonicity pinned; its trainer is not shared —
+        the IVF build trains with the fixed-point Lloyd its SQL oracle
+        replays)
+      * ``relational.windows.event_value_quantiles_sketch``
+        (error-bound-pinned scale variant of the oracle-checked exact
+        quantiles)
+      * ``functions.textops.gopher_quality_flags`` (full Rae-2021
+        gate; 6 document rules DuckDB-parity-tested in
+        tests/test_gopher.py, the repetition flag pinned on crafted
+        docs)
+      * ``functions.textops.c4_filtered`` and the clean.c4 registry
+        stage (line-rule rewrite, byte-exact DuckDB parity over a
+        survivor-bearing corpus; the synthetic corpus itself has no
+        terminal punctuation so the driver-side result would be
+        empty — pytest covers both facts)
+      * the clean.gopher / clean.c4 registry cleaning stages and the
+        composed WET-style spec examples/training_data_clean.yaml
+        (runner-tested)
+      * ``functions.textops.fineweb_quality_flags`` and the
+        clean.fineweb stage (the three published FineWeb gates; full
+        DuckDB parity in tests/test_gopher.py)
+      * ``pipelines.curate.mixture_sample`` /
+        ``pipelines.curate.stratified_sample`` (deterministic
+        md5-keyed training-mixture construction; DuckDB parity +
+        layout invariance in tests/test_sampling.py)
+      * ``functions.textops.fingerprint_md5`` (trivial SELECT
+        md5(text) — ceded its surface slot to dsir_select in round 5;
+        SQL parity stays pinned in tests/test_dsir.py and the timing
+        stays in bench.py)
+      * ``functions.semdedup.semdedup`` /
+        ``functions.semdedup.semdedup_kept`` (Abbas-2023
+        embedding-cluster semantic dedup over the cached IVF
+        clustering; FULL SQL replay — ranking + pair graph + the
+        greedy as a recursive CTE — plus an independent naive
+        reference in tests/test_semdedup.py; bench-timed)
+      * ``functions.bpe.bpe_token_count`` / ``functions.bpe.train_bpe``
+        (Sennrich-2016 trained BPE — hand-computed merge pins + a
+        greedy≡apply-in-order differential reference in
+        tests/test_bpe.py; bench-timed; subword_token_count keeps the
+        driver slot as the SQL-replayable estimate)
+      * ``functions.urls.url_canonicalize`` /
+        ``functions.urls.url_dedup_latest`` (canonical-URL re-crawl
         keep-latest dedup over pages tables; Python kernel ≡ one
         DuckDB scalar expression byte-for-byte and the dedup ≡ a
-        windowed SQL replay in tests/test_urls.py; bench-timed —
-        the driver's sf tables have no url column, so the pages-level
-        op stays off the 50-entry surface)
+        windowed SQL replay in tests/test_urls.py; bench-timed — the
+        driver's sf tables have no url column, so the pages-level op
+        stays off the 50-entry surface)
     """
     from nidaba_ray import realpages
     from nidaba_ray.functions import ann, dedup, dsir, textops

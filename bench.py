@@ -57,10 +57,8 @@ TIMED_QUERIES = [
     "extract_documents",
     # round-2 additions (one per new operator family)
     "extract_documents_pdf2",
-    # round-4: time the driver-listed partitioned IVF query (warm
-    # cached index — the path users actually run) instead of the
-    # ann_topk_ivf retrain demo, whose 6-corpus-pass training step
-    # dominated its wall time (round-3 verdict item 1)
+    # round-4: the driver-listed partitioned IVF query (warm cached
+    # index — the path users actually run; round-3 verdict item 1)
     "ann_topk_ivf_partitioned",
     "ann_topk_ivfpq_partitioned",
     "event_value_quantiles_sketch",
@@ -219,15 +217,6 @@ def _extra_timed() -> dict:
         "curated_by_percentile": curate.curated_by_percentile,
         "range_join_clicks": win.range_join_clicks_before_purchase,
         "streaming_seen_dedup": streaming_seen_dedup,
-        # ngram_jaccard_pairs (quadratic DEMO) is deliberately NOT
-        # timed: its tiny-key-space sort emits empty reduce partitions
-        # (the schema-less RefBundle warning) and a demo baseline has
-        # no round-over-round perf meaning; the exact prefix-filter
-        # path is timed in the main list instead.
-        # ann_topk_ivf (retrain demo: 6 corpus passes per call) is
-        # deliberately NOT timed since round 4 — the driver-listed
-        # partitioned query is the tracked number; the demo stays
-        # pytest-pinned (results ≡ partitioned variant).
         "ann_topk_ivfpq_partitioned": ann.ann_topk_ivfpq_partitioned,
         "ann_topk_lsh": ann.ann_topk_lsh,
         "event_value_quantiles_sketch": win.event_value_quantiles_sketch,

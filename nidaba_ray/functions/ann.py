@@ -12,7 +12,6 @@ sort of the corpus).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -369,79 +368,15 @@ def ann_topk_lsh(sf_dir: str, k: int = 10, query_vec_id: int = 0) -> pa.Table:
 
 
 def _pair_cos6(an_rows: np.ndarray, bn_rows: np.ndarray) -> np.ndarray:
-    """Canonical quantized pair cosine — ONE vectorized kernel shared
-    by both near-dup variants (row-wise einsum over pre-normalized
-    rows, rounded to 6 decimals BEFORE any keep decision), so a pair
-    within one ulp of a rounding boundary cannot diverge between
-    implementations, and skewed buckets don't pay a Python loop."""
+    """Canonical quantized pair cosine for the embedding near-dup
+    verification (row-wise einsum over pre-normalized rows, rounded to
+    6 decimals BEFORE any keep decision). Round-then-compare is the
+    boundary contract the SQL oracle (:func:`embedding_near_dup_sql`)
+    shares, so a pair within one ulp of a rounding boundary cannot
+    diverge between the two; do not "fix" it back to a raw compare."""
     if len(an_rows) == 0:
         return np.zeros(0)
     return round_like_sql(np.einsum("ij,ij->i", an_rows, bn_rows), 6)
-
-
-def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.95) -> pa.Table:
-    """DEMO ONLY — in-bucket all-pairs variant; the scalable,
-    driver-surfaced entry is :func:`embedding_near_dup_scalable`.
-
-    Embedding-cosine near-dup pairs via LSH blocking: vectors
-    sharing a bucket are candidates; exact cosine verifies. The
-    groupby shuffles (bucket, vec_id, embedding) and does
-    ``triu_indices`` all-pairs per bucket — quadratic in bucket size,
-    so at 10^12 scale a hot bucket is an O(n²) blow-up; production
-    shuffles (bucket, vec_id) only and re-joins vectors per bucket
-    (see the scalable variant).
-
-    Boundary contract (since round 2): the threshold compares the
-    6-decimal-ROUNDED cosine (:func:`_pair_cos6`), not the raw value —
-    round-then-compare is deliberate, so both near-dup variants make
-    identical keep/drop decisions at one-ulp boundaries. Do not "fix"
-    this back to a raw compare; pairs within ~5e-7 of the threshold
-    would then diverge between implementations."""
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        m = _embedding_matrix(batch["embedding"])
-        planes = _planes(m.shape[1])
-        codes = lsh_bucket_ids(m, planes)
-        return pa.table(
-            {
-                "bucket": pa.array(codes.astype(np.int64)),
-                "vec_id": batch["vec_id"],
-                "embedding": batch["embedding"],
-            }
-        )
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        recs = g.drop_duplicates("vec_id")
-        m = np.array(list(recs["embedding"]), dtype=np.float64)
-        ids = recs["vec_id"].to_numpy()
-        norms = np.linalg.norm(m, axis=1)
-        mn = m / np.where(norms[:, None] > 0, norms[:, None], 1.0)
-        iu, ju = np.triu_indices(len(ids), k=1)
-        cos = _pair_cos6(mn[iu], mn[ju])  # shared canonical kernel
-        rows = []
-        for i, j, c in zip(iu, ju, cos):
-            if c >= threshold:
-                a, b = sorted((int(ids[i]), int(ids[j])))
-                rows.append((a, b, float(c)))
-        return pd.DataFrame(rows, columns=["vec_a", "vec_b", "cos_sim"]).astype(
-            {"vec_a": "int64", "vec_b": "int64", "cos_sim": "float64"}
-        )
-
-    out = (
-        rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
-        .to_pandas()
-    )
-    out = ensure_columns(out, _NEAR_DUP_SCHEMA)
-    out = (
-        out.drop_duplicates(["vec_a", "vec_b"])
-        .sort_values(["vec_a", "vec_b"])
-        .reset_index(drop=True)
-        .astype({"vec_a": "int64", "vec_b": "int64", "cos_sim": "float64"})
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +386,9 @@ def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.95) -> pa.Table:
 def _train_centroids(ds: rd.Dataset, init: np.ndarray, n_iter: int) -> np.ndarray:
     """Lloyd iterations with broadcast centroids + mergeable per-batch
     partial sums (sum_vec, count per cluster) — the driver reduces K
-    rows per batch, never the vectors. Shared by kmeans_embeddings and
-    the IVF coarse quantizer."""
+    rows per batch, never the vectors. Used by kmeans_embeddings only:
+    the IVF coarse quantizer trains with the fixed-point twin
+    :func:`_train_centroids_fixed` so its SQL oracle can replay it."""
     centroids = init
     for _ in range(n_iter):
         c = centroids  # broadcast by closure (small)
@@ -485,68 +421,6 @@ def _train_centroids(ds: rd.Dataset, init: np.ndarray, n_iter: int) -> np.ndarra
             return new
         centroids = new
     return centroids
-
-
-def ann_topk_ivf(
-    sf_dir: str, k: int = 10, query_vec_id: int = 0,
-    n_lists: int = 16, n_probe: int = 4, train_iter: int = 4,
-) -> pa.Table:
-    """IVF approximate top-k: a k-means coarse quantizer (trained with
-    the broadcast-partial-sums Lloyd loop) partitions the vectors into
-    ``n_lists`` inverted lists; the query probes only its ``n_probe``
-    nearest lists, so each batch pays the exact cosine for roughly
-    n_probe/n_lists of its rows. Rows-only check (approximate by
-    construction); recall vs the brute-force baseline is unit-tested.
-
-    At 10^12 scale the assignment runs once at ingest and the corpus
-    is written partitioned by list id — a query then prunes whole
-    FILES (read only its probed partitions) instead of filtering
-    inside batches; this function demonstrates the query math on the
-    unpartitioned table."""
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    init = (
-        pq.read_table(
-            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-            filters=[("vec_id", "<", n_lists)],
-        )
-        .to_pandas()
-        .sort_values("vec_id")
-    )
-    if len(init) < n_lists:
-        init = ds.sort("vec_id").limit(n_lists).to_pandas()
-    centroids = _train_centroids_fixed(
-        ds,
-        _fixed_quantize(np.array(list(init["embedding"]), dtype=np.float64)),
-        train_iter,
-    )
-    q = _query_vec(sf_dir, query_vec_id)
-    qn = q / np.linalg.norm(q)
-    cd = ((centroids - _fixed_quantize(q)[None, :]) ** 2).sum(axis=1)
-    probed = np.sort(np.argsort(cd, kind="stable")[:n_probe])
-
-    def probe(batch: pa.Table) -> pa.Table:
-        m = _embedding_matrix(batch["embedding"])
-        d2 = _sqdist_fixed(_fixed_quantize(m), centroids)
-        assign = d2.argmin(axis=1)
-        mask = np.isin(assign, probed)
-        if not mask.any():
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "cos_sim": pa.array([], pa.float64())})
-        sel = m[mask]
-        norms = np.linalg.norm(sel, axis=1)
-        cos = round_like_sql((sel @ qn) / np.where(norms > 0, norms, 1.0), 6)
-        ids = np.asarray(batch["vec_id"])[mask]
-        order = np.lexsort((ids, -cos))[:k]
-        return pa.table({"vec_id": pa.array(ids[order], pa.int64()),
-                         "cos_sim": pa.array(cos[order], pa.float64())})
-
-    parts = ds.map_batches(probe, batch_format="pyarrow",
-                           batch_size=8192).to_pandas()
-    out = parts.sort_values(["cos_sim", "vec_id"],
-                            ascending=[False, True]).head(k)
-    return pa.Table.from_pandas(out.reset_index(drop=True),
-                                preserve_index=False)
 
 
 def kmeans_embeddings(
@@ -614,10 +488,10 @@ def build_ivf_index(sf_dir: str, out_dir: str, n_lists: int = 16,
                     pq_params: tuple[int, int] | None = None) -> np.ndarray:
     """Ingest-side IVF: train the coarse quantizer, assign every
     vector, and write the embeddings PARTITIONED BY LIST ID (one
-    directory per inverted list) with a centroids sidecar. This is the
-    10^12-scale layout the ann_topk_ivf docstring promises: a query
-    then reads only its probed partitions — whole-file pruning instead
-    of an in-batch filter.
+    directory per inverted list) with a centroids sidecar — the
+    10^12-scale IVF layout: a query then reads only its probed
+    partitions (:func:`ann_topk_ivf_partitioned`), whole-file pruning
+    instead of an in-batch filter.
 
     With ``pq_params=(m_sub, ks)`` the build ALSO trains per-subspace
     PQ codebooks (on the same pushdown-bounded sample the coarse
@@ -789,8 +663,9 @@ def ann_topk_ivf_partitioned(
     """IVF query over the partitioned layout: builds (and caches) the
     list-partitioned index once per sf dir, then answers by reading
     ONLY the probed partitions' parquet files — the bytes of the other
-    n_lists−n_probe lists never leave storage. Identical results to
-    ann_topk_ivf (same quantizer, same probes; pinned in pytest)."""
+    n_lists−n_probe lists never leave storage. The quantizer is
+    fixed-point trained (:func:`_train_centroids_fixed`), so the whole
+    query replays in SQL (:func:`ann_ivf_sql`, the driver oracle)."""
     import glob
     import os
 
@@ -992,13 +867,16 @@ def ann_topk_ivfpq_partitioned(
 def embedding_near_dup_scalable(
     sf_dir: str, threshold: float = 0.95
 ) -> pa.Table:
-    """The at-scale shape of :func:`embedding_near_dup_pairs`: the
-    LSH-bucket shuffle moves only (bucket, vec_id) — never the
-    embedding column, which dominates bytes at corpus scale — and the
-    (tiny) candidate-pair list is verified by joining the vectors back
-    (candidate-id broadcast pre-filter + two hash joins, the same
-    pattern as dedup._verify_jaccard_pairs). Output is pinned equal to
-    the in-bucket variant in pytest."""
+    """Embedding-cosine near-dup pairs via LSH blocking: vectors
+    sharing a sign-bit bucket are candidates, and the exact cosine
+    (quantized by :func:`_pair_cos6`) verifies them against
+    ``threshold``. The bucket shuffle moves only (bucket, vec_id) —
+    never the embedding column, which dominates bytes at corpus scale
+    — and the (tiny) candidate-pair list is verified by joining the
+    vectors back (candidate-id broadcast pre-filter + two hash joins,
+    the same pattern as dedup._verify_jaccard_pairs). Output is pinned
+    equal to :func:`embedding_near_dup_sql` in pytest and by the
+    driver."""
     import ray as _ray
 
     from ray.data.aggregate import Count
@@ -1083,9 +961,8 @@ def embedding_near_dup_scalable(
                              "cos_sim": pa.array([], pa.float64())})
         a = _binary_matrix(batch["emb_a"], np.float64)
         b = _binary_matrix(batch["emb"], np.float64)
-        # the SAME canonical kernel as the in-bucket variant
-        # (_pair_cos6): normalize, row-wise einsum, quantize before
-        # the decision
+        # the canonical kernel (_pair_cos6): normalize, row-wise
+        # einsum, quantize before the decision
         na = np.linalg.norm(a, axis=1)
         nb = np.linalg.norm(b, axis=1)
         an = a / np.where(na[:, None] > 0, na[:, None], 1.0)

@@ -121,7 +121,7 @@ def audio_hash_table(media: rd.Dataset) -> rd.Dataset:
     )
 
 
-def audio_exact_dup_groups(media: rd.Dataset) -> pa.Table:
+def audio_exact_dup_groups(media: rd.Dataset) -> rd.Dataset:
     """(media_id, group_id) for clips sharing BOTH fingerprints."""
     return exact_dup_groups(audio_hash_table(media),
                             ("ehash", "shash"), "media_id")

@@ -421,7 +421,7 @@ def _verify_jaccard_pairs(
 
 # Process-local memo for the MinHash pair-mining tail. Three driver
 # queries consume the same mined pairs (`minhash_dedup_pairs` and both
-# `dup_clusters*_distributed` variants), and the LSH candidate set is
+# `dup_clusters_*distributed` variants), and the LSH candidate set is
 # threshold-INDEPENDENT (thresholding happens in verification), so one
 # mining pass serves every threshold. Keyed by (realpath, corpus
 # size+mtime fingerprint) — a touched corpus invalidates; a different
@@ -637,10 +637,9 @@ def ngram_jaccard_pairs_exact(sf_dir: str, threshold: float = 0.7) -> pa.Table:
     member's first ``|S| − ⌈t·|S|⌉ + 1`` smallest shingles — so only
     those prefix shingles need to be join keys).
 
-    Unlike :func:`ngram_jaccard_pairs` (bounded-block demonstrator,
-    loses cross-bucket pairs and is quadratic per block), this path is
-    lossless and shuffles only (prefix_shingle, doc_id) rows followed
-    by the standard pairs-sized verification — no O(n²) anywhere.
+    The join is lossless (no blocking that could drop a pair) and
+    shuffles only (prefix_shingle, doc_id) rows followed by the
+    standard pairs-sized verification — no O(n²) anywhere.
     Hot shingles (stopword n-grams) are the skew risk; the standard
     mitigation at 10^12 scale is dropping the few universally-frequent
     shingles from prefixes on both sides (not needed at test scale).
@@ -1034,118 +1033,14 @@ ORDER BY doc_a, doc_b
 
 
 # ---------------------------------------------------------------------------
-# Blocked exact n-gram Jaccard
-# ---------------------------------------------------------------------------
-
-def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5) -> pa.Table:
-    """DEMO ONLY — use :func:`ngram_jaccard_pairs_exact` at scale (the
-    lossless prefix-filter join). Kept as the pedagogical baseline and
-    exercised only from tests, not from the driver surface: the
-    per-block all-pairs cost is quadratic, and at corpus scale one hot
-    (lang, len_bucket) block approaches all-pairs over the corpus.
-
-    Exact token-3-gram Jaccard within (lang, length-bucket) blocks —
-    the quadratic cost is bounded per block; blocking loses only pairs
-    whose lengths differ enough to make `threshold` unreachable."""
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        n = [t.count(" ") + 1 for t in batch["text"].to_pylist()]
-        bucket = pa.array([int(np.log2(max(1, x))) for x in n], pa.int32())
-        return batch.append_column("len_bucket", bucket)
-
-    def partition_pairs(part: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for _, g in part.groupby(["lang", "len_bucket"], sort=False):
-            recs = list(g[["doc_id", "text"]].itertuples(index=False))
-            sets = [set(shingle_hashes(t).tolist()) for _, t in recs]
-            for i in range(len(recs)):
-                for j in range(i + 1, len(recs)):
-                    inter = len(sets[i] & sets[j])
-                    if not inter:
-                        continue
-                    jac = inter / len(sets[i] | sets[j])
-                    if jac >= threshold:
-                        a, b = sorted((recs[i][0], recs[j][0]))
-                        rows.append((a, b, round_like_sql(jac, 4)))
-        return pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"]).astype(
-            {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"}
-        )
-
-    from nidaba_ray.relational.windows import sorted_partition_apply
-
-    out = sorted_partition_apply(
-        _docs(sf_dir, ["doc_id", "text", "lang"])
-        .map_batches(bucketize, batch_format="pyarrow"),
-        ["lang", "len_bucket"], partition_pairs,
-        _PAIRS_SCHEMA.empty_table().to_pandas(),
-    ).to_pandas()
-    out = ensure_columns(out, _PAIRS_SCHEMA)
-    out = (
-        out.sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-        .astype({"doc_a": "int64", "doc_b": "int64"})
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-# ---------------------------------------------------------------------------
 # Duplicate clusters (connected components over the near-dup pair graph)
 # ---------------------------------------------------------------------------
-
-def dup_clusters(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
-    """doc_id → cluster_id (min doc_id of its near-dup component).
-
-    The verified MinHash pair list is tiny relative to the corpus
-    (only actual near-dups survive), so union-find runs on the driver
-    — the ray_guide's stated condition for driver-side components. At
-    10^12 scale with huge components, swap in iterative min-label
-    propagation: repeat { pairs ∪ swapped pairs → groupby(node) →
-    min(neighbor label) } until no label changes; each round is one
-    groupby shuffle of the (small) edge list.
-
-    Docs in no pair are singleton clusters of themselves; output
-    covers every doc (same shape as exact_dedup's canonical_id)."""
-    pairs = minhash_dedup_pairs(sf_dir, threshold)
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra  # root = smaller id → deterministic labels
-
-    for a, b in zip(pairs["doc_a"].to_pylist(), pairs["doc_b"].to_pylist()):
-        union(a, b)
-    labels = {x: find(x) for x in parent}
-    labels_ref = ray.put(labels)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        lab = ray.get(labels_ref)
-        ids = batch["doc_id"].to_pylist()
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "cluster_id": pa.array(
-                    [lab.get(i, i) for i in ids], pa.int64()
-                ),
-            }
-        )
-
-    return _docs(sf_dir, ["doc_id"]).map_batches(assign, batch_format="pyarrow")
-
 
 def propagate_labels_ds(edges: pd.DataFrame, nodes: rd.Dataset,
                         max_rounds: int = 25) -> rd.Dataset:
     """Min-label propagation over an undirected edge list using Ray
-    Data groupby rounds — the distributed alternative to driver-side
-    union-find for huge components (ray_guide dedup section).
+    Data groupby rounds — connected components without collecting the
+    graph for a driver-side union-find (ray_guide dedup section).
 
     Each round every node takes min(its label, neighbors' labels);
     converges in ≤ diameter rounds. The (node, label) table stays a
@@ -1210,10 +1105,15 @@ def _propagate_labels(edges: pd.DataFrame, nodes: pd.DataFrame,
 
 
 def dup_clusters_distributed(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
-    """`dup_clusters` via distributed min-label propagation instead of
-    driver-side union-find — identical output (property-tested), built
-    for the case where components are too large to collect. The label
-    table stays a Dataset end to end."""
+    """doc_id → cluster_id (min doc_id of its near-dup component) over
+    the verified MinHash pair graph, by distributed min-label
+    propagation (:func:`propagate_labels_ds`, pinned equal to a
+    union-find on random graphs in pytest; the result is checked
+    against :func:`dup_clusters_distributed_sql`). Docs in no pair
+    are singleton clusters of themselves; output covers every doc
+    (same shape as exact_dedup's canonical_id). The label table stays
+    a Dataset end to end, so components never have to fit on the
+    driver."""
     pairs = minhash_dedup_pairs(sf_dir, threshold).to_pandas()
     nodes = _docs(sf_dir, ["doc_id"])
     labels = propagate_labels_ds(pairs[["doc_a", "doc_b"]], nodes)
@@ -1223,21 +1123,16 @@ def dup_clusters_distributed(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
     ).sort("doc_id")
 
 
-def dup_clusters_exact(sf_dir: str) -> rd.Dataset:
-    """``dup_clusters`` at threshold 1.0 — the oracle-checkable point
-    of the near-dup family. Exact duplicates have identical MinHash
-    signatures, so every band collides and LSH recall is exactly 1.0;
-    verification keeps only Jaccard == 1.0 pairs (integer division of
-    equal set sizes — no float error). On corpora where equal shingle
-    sets imply equal bytes (pinned for the driver corpus in
-    tests/test_crawls_windows.py), the clusters are precisely the
-    md5-equality components, which SQL expresses as a window min."""
-    return dup_clusters(sf_dir, threshold=1.0)
-
-
 def dup_clusters_exact_distributed(sf_dir: str) -> rd.Dataset:
-    """Distributed-propagation twin of :func:`dup_clusters_exact` —
-    the same oracle pins both implementations."""
+    """:func:`dup_clusters_distributed` at threshold 1.0 — the
+    oracle-checkable point of the near-dup family. Exact duplicates
+    have identical MinHash signatures, so every band collides and LSH
+    recall is exactly 1.0; verification keeps only Jaccard == 1.0
+    pairs (integer division of equal set sizes — no float error). On
+    corpora where equal shingle sets imply equal bytes (pinned for the
+    driver corpus in tests/test_crawls_windows.py), the clusters are
+    precisely the md5-equality components, which SQL expresses as a
+    window min (:data:`DUP_CLUSTERS_EXACT_SQL`)."""
     return dup_clusters_distributed(sf_dir, threshold=1.0)
 
 

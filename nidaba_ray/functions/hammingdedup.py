@@ -2,7 +2,8 @@
 (dHash/aHash) and audio (energy/spectral) perceptual dedup families.
 
 * ``exact_dup_groups``: narrow groupby on the hash columns, group_id
-  = min id (total order), payload never shuffles
+  = min id (total order), payload never shuffles; the per-item result
+  stays a Dataset (never collected on the driver)
 * ``near_dup_pairs``: Hamming ≤ k pairing via the SimHash pigeonhole
   — 8 × 8-bit chunks of the 64-bit hash guarantee any pair within
   Hamming ≤ 7 shares one exact chunk, so candidates come from a
@@ -32,20 +33,23 @@ def _drop_errors(hashes: rd.Dataset) -> rd.Dataset:
 
 
 def exact_dup_groups(hashes: rd.Dataset, hash_cols: tuple[str, ...],
-                     id_col: str) -> pa.Table:
-    """(id, group_id) for rows sharing every hash column; group_id is
-    the group's min id."""
+                     id_col: str) -> rd.Dataset:
+    """(id, group_id) for rows sharing every hash column, sorted by id;
+    group_id is the group's min id. One row per media item, so the
+    result stays a Dataset."""
     from ray.data.aggregate import Min
 
     clean = _drop_errors(hashes).materialize()
+    if clean.count() == 0:  # an all-empty join input has no key schema
+        return rd.from_arrow(pa.table({
+            id_col: pa.array([], pa.int64()),
+            "group_id": pa.array([], pa.int64()),
+        }))
     mins = clean.groupby(list(hash_cols)).aggregate(
         Min(id_col, alias_name="group_id"))
     joined = clean.join(mins, "inner", join_partitions(8),
                         on=tuple(hash_cols))
-    out = (joined.to_pandas()[[id_col, "group_id"]]
-           .sort_values(id_col).reset_index(drop=True)
-           .astype({id_col: "int64", "group_id": "int64"}))
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return joined.select_columns([id_col, "group_id"]).sort(id_col)
 
 
 def near_dup_pairs(hashes: rd.Dataset, hash_col: str, id_col: str,
@@ -88,17 +92,19 @@ def near_dup_pairs(hashes: rd.Dataset, hash_col: str, id_col: str,
             "hamming": pa.array(d[keep], pa.int64()),
         })
 
+    schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                        ("hamming", pa.int64())])
     exploded = _drop_errors(hashes).map_batches(
         explode, batch_format="pyarrow").materialize()
+    if exploded.count() == 0:  # an all-empty join input has no key schema
+        return schema.empty_table()
     joined = exploded.join(
         exploded, "inner", join_partitions(8),
         on=("chunk_id", "chunk_val"),
         left_suffix="_a", right_suffix="_b",
     )
     out = joined.map_batches(to_pairs, batch_format="pyarrow").to_pandas()
-    out = ensure_columns(out, pa.schema(
-        [("id_a", pa.int64()), ("id_b", pa.int64()),
-         ("hamming", pa.int64())]))
+    out = ensure_columns(out, schema)
     out = (out.drop_duplicates(["id_a", "id_b"])
            .sort_values(["id_a", "id_b"]).reset_index(drop=True)
            .astype({"id_a": "int64", "id_b": "int64", "hamming": "int64"}))

@@ -108,7 +108,7 @@ def image_hash_table(media: rd.Dataset) -> rd.Dataset:
     )
 
 
-def image_exact_dup_groups(media: rd.Dataset) -> pa.Table:
+def image_exact_dup_groups(media: rd.Dataset) -> rd.Dataset:
     """(media_id, group_id) for images sharing BOTH hashes — group_id
     is the min media_id of the group (total order)."""
     return exact_dup_groups(image_hash_table(media),

@@ -73,7 +73,7 @@ def video_hash_table(media: rd.Dataset) -> rd.Dataset:
     )
 
 
-def video_exact_dup_groups(media: rd.Dataset) -> pa.Table:
+def video_exact_dup_groups(media: rd.Dataset) -> rd.Dataset:
     """(media_id, group_id) for clips sharing first/last frame hashes
     AND frame count."""
     return exact_dup_groups(video_hash_table(media),

@@ -129,7 +129,7 @@ def test_dup_clusters(ray_session, tmp_path, monkeypatch):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from nidaba_ray.functions.dedup import dup_clusters
+    from nidaba_ray.functions.dedup import dup_clusters_distributed
 
     # corpus with two exact-dup groups and two singletons
     base1 = " ".join(f"a{i}" for i in range(50))
@@ -145,7 +145,8 @@ def test_dup_clusters(ray_session, tmp_path, monkeypatch):
     d = tmp_path / "sf"
     d.mkdir()
     pq.write_table(docs, str(d / "documents.parquet"))
-    out = dup_clusters(str(d)).to_pandas().set_index("doc_id")["cluster_id"]
+    out = (dup_clusters_distributed(str(d)).to_pandas()
+           .set_index("doc_id")["cluster_id"])
     assert out[0] == out[1] == 0
     assert out[2] == out[3] == 2
     assert out[4] == 4 and out[5] == 5
@@ -264,11 +265,18 @@ def test_label_propagation_matches_union_find(ray_session):
         assert all(got[x] == want[x] for x in range(n)), (trial, n)
 
 
-def test_dup_clusters_distributed_matches_driver(ray_session, tmp_path):
+def test_dup_clusters_distributed_matches_sql(ray_session, tmp_path):
+    """Min-label propagation over the MinHash pair graph equals the
+    recursive-closure SQL oracle on a corpus with non-trivial
+    components."""
+    import duckdb
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from nidaba_ray.functions.dedup import dup_clusters, dup_clusters_distributed
+    from nidaba_ray.functions.dedup import (
+        dup_clusters_distributed,
+        dup_clusters_distributed_sql,
+    )
 
     base1 = " ".join(f"a{i}" for i in range(50))
     base2 = " ".join(f"b{i}" for i in range(50))
@@ -282,9 +290,14 @@ def test_dup_clusters_distributed_matches_driver(ray_session, tmp_path):
     )
     d = tmp_path / "sf"; d.mkdir()
     pq.write_table(docs, str(d / "documents.parquet"))
-    a = dup_clusters(str(d)).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = dup_clusters_distributed(str(d)).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert a.equals(b)
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{d / 'documents.parquet'}')")
+    want = con.execute(dup_clusters_distributed_sql()).df()
+    got = dup_clusters_distributed(str(d)).to_pandas()
+    assert want["cluster_id"].tolist() == [0, 0, 2, 2, 4, 5]
+    assert got["doc_id"].tolist() == want["doc_id"].tolist()
+    assert got["cluster_id"].tolist() == want["cluster_id"].tolist()
 
 
 def test_dup_clusters_exact_oracle_premise(ray_session):
@@ -295,7 +308,7 @@ def test_dup_clusters_exact_oracle_premise(ray_session):
     import duckdb
 
     from nidaba_ray.functions.dedup import (
-        dup_clusters_exact,
+        dup_clusters_exact_distributed,
         shingle_hashes,
     )
 
@@ -307,7 +320,7 @@ def test_dup_clusters_exact_oracle_premise(ray_session):
     for t in docs["text"]:
         key = tuple(sorted(shingle_hashes(t).tolist()))
         assert seen.setdefault(key, t) == t  # equal shingles ⇒ equal bytes
-    mine = dup_clusters_exact(sf).to_pandas().sort_values("doc_id")
+    mine = dup_clusters_exact_distributed(sf).to_pandas().sort_values("doc_id")
     ora = duckdb.connect().execute(
         f"SELECT doc_id, MIN(doc_id) OVER (PARTITION BY md5(text)) AS cluster_id "
         f"FROM read_parquet('{sf}/documents.parquet')"
@@ -366,21 +379,25 @@ def test_quantile_sketch_deterministic_merge():
 def test_ann_ivf_recall(ray_session):
     """IVF top-k must recover most of the exact top-k (multi-probe),
     and be deterministic across runs."""
-    from nidaba_ray.functions.ann import ann_topk_bruteforce, ann_topk_ivf
+    from nidaba_ray.functions.ann import (
+        ann_topk_bruteforce,
+        ann_topk_ivf_partitioned,
+    )
 
     sf = "/root/testdata/sf0.001"
     exact = set(ann_topk_bruteforce(sf, k=10)["vec_id"].to_pylist())
-    ivf = ann_topk_ivf(sf, k=10)
+    ivf = ann_topk_ivf_partitioned(sf, k=10)
     got = set(ivf["vec_id"].to_pylist())
     assert len(got & exact) >= 7  # recall@10 >= 0.7 with 4/16 probes
-    again = ann_topk_ivf(sf, k=10)
+    again = ann_topk_ivf_partitioned(sf, k=10)
     assert ivf.equals(again)
 
 
-def test_ann_ivf_partitioned_matches_inbatch(ray_session, tmp_path):
-    """The partitioned-layout IVF query must return exactly what the
-    in-batch IVF filter returns (same quantizer, same probes) while
-    reading only the probed partitions' files."""
+def test_ann_ivf_partitioned_matches_sql(ray_session, tmp_path):
+    """An index built into a fresh directory holds every vector in
+    exactly one list partition, and the partitioned query over it
+    returns exactly the fixed-point IVF replayed in SQL
+    (:func:`ann_ivf_sql`: same training, assignment and probes)."""
     import glob
     import os
 
@@ -401,22 +418,25 @@ def test_ann_ivf_partitioned_matches_inbatch(ray_session, tmp_path):
     import unittest.mock as mock
 
     with mock.patch.object(ann, "_ivf_index_dir", lambda s, l: idx):
-        part = ann.ann_topk_ivf_partitioned(sf, k=10)
-    flat = ann.ann_topk_ivf(sf, k=10)
-    assert part.to_pandas().equals(flat.to_pandas())
+        part = ann.ann_topk_ivf_partitioned(sf, k=10).to_pandas()
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
+                f"read_parquet('{sf}/embeddings.parquet')")
+    want = con.execute(ann.ann_ivf_sql(k=10)).df()
+    assert len(part) == len(want) == 10
+    assert part["vec_id"].tolist() == want["vec_id"].tolist()
+    assert part["cos_sim"].tolist() == want["cos_sim"].tolist()
 
 
 def test_prefix_join_exactness(ray_session, tmp_path):
     """Prefix filtering is LOSSLESS: the prefix-join output must equal
-    brute-force all-pairs Jaccard over the corpus, at two thresholds —
-    and be a superset of the bounded-block demonstrator."""
+    brute-force all-pairs Jaccard over the corpus, at two thresholds."""
     import itertools
 
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from nidaba_ray.functions.dedup import (
-        ngram_jaccard_pairs,
         ngram_jaccard_pairs_exact,
         shingle_hashes,
     )
@@ -444,24 +464,21 @@ def test_prefix_join_exactness(ray_session, tmp_path):
             if jac >= thr:
                 want.add((i, j))
         assert got_pairs == want, (thr, got_pairs, want)
-        if thr == 0.5:
-            # the bounded-block demonstrator can only lose pairs
-            blocked = ngram_jaccard_pairs(str(d), threshold=thr).to_pandas()
-            assert set(zip(blocked["doc_a"], blocked["doc_b"])) <= got_pairs
 
 
 def test_embedding_near_dup_scalable_matches(ray_session, tmp_path):
-    """The ids-only-shuffle variant must produce exactly the in-bucket
-    variant's pairs (same buckets → same candidates → same verified
-    set) — on a corpus constructed to HAVE near-dups, so the
-    comparison is not vacuous."""
+    """The ids-only-shuffle near-dup join must produce exactly the SQL
+    oracle's pairs (same sign-bit buckets → same candidates → same
+    quantized cosines) — on a corpus constructed to HAVE near-dups, so
+    the comparison is not vacuous."""
+    import duckdb
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from nidaba_ray.functions.ann import (
-        embedding_near_dup_pairs,
         embedding_near_dup_scalable,
+        embedding_near_dup_sql,
     )
 
     rng = np.random.default_rng(9)
@@ -477,10 +494,15 @@ def test_embedding_near_dup_scalable_matches(ray_session, tmp_path):
     d = tmp_path / "sf"
     d.mkdir()
     pq.write_table(t, str(d / "embeddings.parquet"))
-    a = embedding_near_dup_pairs(str(d), threshold=0.95).to_pandas()
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
+                f"read_parquet('{d / 'embeddings.parquet'}')")
+    a = con.execute(embedding_near_dup_sql(threshold=0.95, dim=16)).df()
     b = embedding_near_dup_scalable(str(d), threshold=0.95).to_pandas()
     assert len(a) >= 8  # the twins collide in their bucket
-    assert a.equals(b), (len(a), len(b))
+    assert list(a.columns) == list(b.columns)
+    for c in a.columns:
+        assert a[c].tolist() == b[c].tolist(), c
 
 
 def test_sliding_window_matches_duckdb(ray_session):
