@@ -8,10 +8,9 @@ text + spans (the `nidaba batch` analog, SURVEY.md §3.1/§3.4).
       → write_parquet / caller-chosen sink
 
 One ``map_batches`` stage: each payload crosses the object store once,
-on its way into the pool. The same three steps stay available as
-separate registry stages (``extract.candidates``,
-``merge.threshold_vote``, ``postprocess.spell``) for specs that insert
-their own stages between them; ``FusedExtract`` produces the same rows.
+on its way into the pool. ``FusedExtract`` is also the one registered
+extraction stage, ``extract.text``, so pipeline specs and the job
+runner run the same actor with the same pool shape (``POOL``).
 Quarantined rows (undecodable payloads) flow through with ``error``
 set and empty text — filtering them into a separate sink would fork
 the DAG and re-execute the read, so the quarantine *view* is a filter
@@ -26,34 +25,53 @@ import pyarrow as pa
 import ray.data as rd
 
 from nidaba_ray.stages import merge
-from nidaba_ray.stages.extract import ExtractCandidates
+from nidaba_ray.stages.extract import extract_columns
 from nidaba_ray.stages.spell import SpellFilter
 
 __all__ = ["extract_pipeline", "read_pages", "FusedExtract", "PAGES_COLUMNS"]
 
+# the extraction actor pool's shape, shared by extract_pipeline and the
+# registry's extract.text stage: ``batch_size`` is small on purpose
+# (``html`` is a wide binary column, and batch × concurrency must fit
+# worker heaps, SURVEY.md §4.2); ``concurrency`` stays an autoscaling
+# tuple ``(1, max)`` — a fixed-size pool whose CPU demand plus the read
+# stage exceeds the cluster CPUs livelocks the streaming executor
+POOL = {"batch_size": 64, "concurrency": (1, 8), "num_cpus": 1}
 
-class FusedExtract(ExtractCandidates):
-    """``ExtractCandidates`` → ``threshold_and_vote`` → ``SpellFilter``
-    (when ``spell``) composed in one actor ``__call__`` — the physical
-    plan of the flagship pipeline. Byte-capped batch slicing is
-    inherited.
+# Batch size is in ROWS, but a few multi-MB pages can blow the
+# per-batch byte budget regardless of row count (SURVEY.md §7 hard
+# parts): a batch above this many bytes is halved recursively and the
+# slices run in turn, bounding peak heap per actor.
+MAX_BATCH_BYTES = 64 << 20
+
+
+class FusedExtract:
+    """``map_batches`` actor: pages batch → extracted batch.
+    ``extract_columns`` → ``merge.vote_columns`` → ``SpellFilter``
+    (when ``spell``) in one ``__call__`` — the physical plan of the
+    flagship pipeline and the ``extract.text`` registry stage.
 
     Rationale (measured on the sf0.1 bench): as separate stages the
     chain was two actor pools + a fused stateless stage; with both
     pools autoscaling on one CPU budget the executor reached only ~40%
     utilization (400 s of CPU work took 31 s of wall on 32 CPUs) and
-    every row crossed the object store twice. The stages are
-    row-local, so composing them is semantically identical; one pool
-    saturates the CPUs and each payload is touched exactly once."""
+    every row crossed the object store twice. The steps are row-local,
+    so composing them is semantically identical; one pool saturates
+    the CPUs and each payload is touched exactly once. The span lists
+    stay Python into the vote — the Arrow list<struct> build +
+    to_pylist round trip between stages measured ~13% of total
+    time."""
 
     def __init__(self, spell: bool = True) -> None:
-        super().__init__()
         self._spell = SpellFilter() if spell else None
 
-    def _process(self, batch: pa.Table) -> pa.Table:
-        # span lists stay Python into the vote — the Arrow list<struct>
-        # build + to_pylist round trip measured ~13% of total time
-        out = merge.vote_columns(*self._extract_columns(batch))
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if batch.nbytes > MAX_BATCH_BYTES and batch.num_rows > 1:
+            mid = batch.num_rows // 2
+            return pa.concat_tables(
+                [self(batch.slice(0, mid)), self(batch.slice(mid))]
+            )
+        out = merge.vote_columns(*extract_columns(batch))
         return self._spell(out) if self._spell else out
 
 
@@ -70,26 +88,18 @@ def extract_pipeline(
     pages: rd.Dataset,
     *,
     spell: bool = True,
-    extract_batch_size: int = 64,
-    extract_concurrency: Any = (1, 8),
+    extract_batch_size: int = POOL["batch_size"],
+    extract_concurrency: Any = POOL["concurrency"],
 ) -> rd.Dataset:
     """pages Dataset → extracted Dataset (lazy): one ``FusedExtract``
     actor pool; ``spell=False`` leaves out the spell annotation
-    columns.
-
-    ``extract_batch_size`` is small on purpose: ``html`` is a wide
-    binary column, and batch × concurrency must fit worker heaps
-    (SURVEY.md §4.2).
-
-    ``extract_concurrency`` should stay an autoscaling tuple
-    ``(1, max)``: a fixed-size pool whose CPU demand plus the read
-    stage exceeds the cluster CPUs livelocks the streaming executor.
-    """
+    columns. The two sizes default to ``POOL``'s, whose comment says
+    how to choose them."""
     return pages.map_batches(
         FusedExtract,
         fn_constructor_kwargs={"spell": spell},
         batch_format="pyarrow",
         batch_size=extract_batch_size,
         concurrency=extract_concurrency,
-        num_cpus=1,
+        num_cpus=POOL["num_cpus"],
     )

@@ -4,8 +4,9 @@ analog (SURVEY.md §3.4), runnable under ``ray job submit``:
     ray job submit -- python -m nidaba_ray.pipelines.runner \
         <pages_parquet> <out_dir> [n_buckets] [--spec spec.yaml]
 
-One run = read (pruned to unfinished buckets) → flagship extraction →
-bucketed parquet sink → per-bucket manifests (lineage + counters).
+One run = read (pruned to unfinished buckets) → a registry pipeline
+(by default the flagship extraction, ``extract.text``) → bucketed
+parquet sink → per-bucket manifests (lineage + counters).
 Re-running after a crash skips every bucket whose manifest is present
 and config-compatible; only unfinished buckets are re-read (the prune
 happens at the read — a vectorized filter, no shuffle).
@@ -21,32 +22,31 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from nidaba_ray.pipelines.extract import extract_pipeline
+from nidaba_ray.stages.registry import compile_pipeline, load_spec
 from nidaba_ray.state import manifest as mf
 
 DEFAULT_BUCKETS = 64
+DEFAULT_SPEC = [{"stage": "extract.text"}]
 
 
 def run_job(
     input_path: str,
     out_dir: str,
     n_buckets: int = DEFAULT_BUCKETS,
-    pipeline_config: dict | None = None,
     spec: list[dict] | None = None,
 ) -> dict:
     """Returns a summary dict {processed_buckets, skipped_buckets,
     n_rows, n_quarantined}.
 
-    ``spec`` runs an arbitrary registry pipeline (the ordered stage
-    list ``stages.registry.compile_pipeline`` takes) under the SAME
-    bucketed-manifest resume contract as the flagship: the spec is
-    part of the config hash (resuming with a different spec restarts),
-    and a spec whose stages rebuild their output tables (dropping the
-    ``bucket`` column) is re-bucketed from ``url`` before the
-    partitioned write — stages must preserve one of the two columns.
-    Default (spec=None) stays the flagship extraction."""
-    config = {"n_buckets": n_buckets, "pipeline": pipeline_config or {},
-              "spec": spec or []}
+    ``spec`` is the registry pipeline to run (the ordered stage list
+    ``stages.registry.compile_pipeline`` takes); ``None`` runs
+    ``DEFAULT_SPEC``, the flagship extraction. The spec is part of the
+    config hash (resuming with a different spec restarts), and a spec
+    whose stages rebuild their output tables (dropping the ``bucket``
+    column) is re-bucketed from ``url`` before the partitioned write —
+    stages must preserve one of the two columns."""
+    spec = DEFAULT_SPEC if spec is None else spec
+    config = {"n_buckets": n_buckets, "spec": spec}
     config_hash = mf.config_fingerprint(config)
     done = frozenset(mf.done_buckets(out_dir, n_buckets, config_hash))
     data_dir = os.path.join(out_dir, "data")
@@ -101,19 +101,13 @@ def run_job(
             partial(mf.prune_done, done=done), batch_format="pyarrow"
         )
 
-    if spec is None:
-        out = extract_pipeline(pages, **(pipeline_config or {}))
-    else:
-        from nidaba_ray.stages.registry import compile_pipeline
-
-        out = compile_pipeline(pages, spec)
-        # stages that rebuild their tables drop the bucket column —
-        # recompute it from url (the authoritative scheme) so the
-        # partitioned write and the manifests stay bucket-aligned
-        out = out.map_batches(
-            partial(mf.add_bucket_column, n_buckets=n_buckets),
-            batch_format="pyarrow",
-        )
+    # stages that rebuild their tables drop the bucket column —
+    # recompute it from url (the authoritative scheme) so the
+    # partitioned write and the manifests stay bucket-aligned
+    out = compile_pipeline(pages, spec).map_batches(
+        partial(mf.add_bucket_column, n_buckets=n_buckets),
+        batch_format="pyarrow",
+    )
     # Co-locate each bucket before the partitioned write: without this,
     # every write task splits its block across ~all buckets → tasks ×
     # buckets tiny files (measured 8k files for 128 blocks × 64
@@ -236,8 +230,6 @@ def main(argv: list[str]) -> None:
     spec = None
     if "--spec" in argv:
         i = argv.index("--spec")
-        from nidaba_ray.stages.registry import load_spec
-
         spec = load_spec(argv[i + 1])
         argv = argv[:i] + argv[i + 2:]
     input_path, out_dir = argv[0], argv[1]

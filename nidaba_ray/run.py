@@ -7,7 +7,8 @@
 The YAML pipeline spec is compiled through the stage registry (the
 plugin surface); the sink is bucketed parquet. For the resumable
 manifest-checkpointed variant use ``python -m
-nidaba_ray.pipelines.runner`` (fixed flagship pipeline).
+nidaba_ray.pipelines.runner`` (the flagship extraction unless given
+``--spec``).
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
-"""Candidate extraction stage — payload sniff + parse → scored block
-spans. The recognize-stage analog (ocr.tesseract / ocr.kraken,
-SURVEY.md §2.2): per-block text extraction for HTML, PDF parse for
-binary payloads, behind ONE dispatching actor-pool stage.
+"""Candidate extraction — payload sniff + parse → scored block spans.
+The recognize-stage analog (ocr.tesseract / ocr.kraken, SURVEY.md
+§2.2): per-block text extraction for HTML, PDF parse for binary
+payloads, one dispatcher for every payload kind. Its batch entry,
+``extract_columns``, is the first step of the ``FusedExtract`` actor
+(pipelines/extract.py).
 
-Why one stage instead of two filtered branches + union: Ray Data does
-not share a common upstream between branches of a DAG — two
+Why one dispatcher instead of two filtered branches + union: Ray Data
+does not share a common upstream between branches of a DAG — two
 ``ds.filter`` branches over the same read would execute the read (and
 ship every multi-MB payload) twice. PDF rows are a small fraction
 (~3%), so dispatching on a magic-number sniff inside one pass over the
 payload column moves each byte through the object store exactly once.
 
-Actor pool: the parser state (compiled regexes, parser tables — the
-"model load" of the recognizer analog) is built once per actor
-process, at module import; ``__call__`` handles one Arrow batch. Per-row errors are
-caught and emitted as quarantine rows (``error`` column) — a poison
-payload never kills the task (SURVEY.md §4.1 retries row).
+The parser state (compiled regexes, parser tables — the "model load"
+of the recognizer analog) is built once per actor process, at module
+import. Per-row errors are caught and emitted as quarantine rows
+(``error`` column) — a poison payload never kills the task
+(SURVEY.md §4.1 retries row).
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from nidaba_ray.stages import feeds, mdtext, office
 from nidaba_ray.stages import pdf as pdfmod
 from nidaba_ray.stages import score as scoremod
 from nidaba_ray.stages.segment import segment_html
-from nidaba_ray.record import SPAN_TYPE
 
-__all__ = ["ExtractCandidates", "extract_row"]
+__all__ = ["extract_columns", "extract_row"]
 
 
 # (magic, codec): compressed wrappers inflated (capped) before the sniff
@@ -320,58 +321,25 @@ def _extract_office(payload: bytes) -> tuple[str, list[dict], str]:
     return "invalid", [], "unrecognized zip container (not docx/epub/odt)"
 
 
-class ExtractCandidates:
-    """Actor-pool ``map_batches`` callable: pages batch → spans batch.
+def extract_columns(batch: pa.Table) -> tuple[dict, list[list[dict]]]:
+    """Pages batch → (passthrough columns + ``payload_kind`` and
+    ``error``, per-row span lists).
 
-    Usage:
-        ds.map_batches(ExtractCandidates, batch_format="pyarrow",
-                       batch_size=64, concurrency=(2, 8), num_cpus=1)
-
-    Batch size is in ROWS, but ``html`` payloads are wide binary rows
-    (SURVEY.md §7 hard parts) — a few multi-MB pages can blow the
-    per-batch byte budget regardless of row count. ``__call__``
-    therefore self-slices any batch above ``max_batch_bytes`` and
-    processes the slices sequentially, bounding peak heap per actor
-    without relying on upstream row-count tuning.
-    """
-
-    def __init__(self, max_batch_bytes: int = 64 << 20) -> None:
-        self.max_batch_bytes = max_batch_bytes
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.nbytes > self.max_batch_bytes and batch.num_rows > 1:
-            # split in half recursively until under the byte cap
-            mid = batch.num_rows // 2
-            return pa.concat_tables(
-                [self(batch.slice(0, mid)), self(batch.slice(mid))]
-            )
-        return self._process(batch)
-
-    def _extract_columns(
-        self, batch: pa.Table
-    ) -> tuple[dict, list[list[dict]]]:
-        """Shared body: passthrough columns + Python-side span lists.
-
-        The fused pipeline consumes the span lists directly — building
-        the Arrow list<struct> column only to ``to_pylist`` it in the
-        next fused stage measured ~13% of total pipeline time."""
-        payloads = batch["html"].to_pylist()
-        kinds, spans_col, errors = [], [], []
-        for p in payloads:
-            kind, spans, err = extract_row(p or b"")
-            kinds.append(kind)
-            spans_col.append(spans)
-            errors.append(err)
-        # generic passthrough: every input column except the consumed
-        # payload survives (bucket ids, user metadata, ...)
-        cols = {
-            name: batch[name] for name in batch.column_names if name != "html"
-        }
-        cols["payload_kind"] = pa.array(kinds, pa.string())
-        cols["error"] = pa.array(errors, pa.string())
-        return cols, spans_col
-
-    def _process(self, batch: pa.Table) -> pa.Table:
-        cols, spans_col = self._extract_columns(batch)
-        cols["spans"] = pa.array(spans_col, SPAN_TYPE)
-        return pa.table(cols)
+    The span lists stay Python on their way into the vote
+    (``merge.vote_columns``): building an Arrow list<struct> column
+    only to ``to_pylist`` it again measured ~13% of total pipeline
+    time."""
+    kinds, spans_col, errors = [], [], []
+    for p in batch["html"].to_pylist():
+        kind, spans, err = extract_row(p or b"")
+        kinds.append(kind)
+        spans_col.append(spans)
+        errors.append(err)
+    # generic passthrough: every input column except the consumed
+    # payload survives (bucket ids, user metadata, ...)
+    cols = {
+        name: batch[name] for name in batch.column_names if name != "html"
+    }
+    cols["payload_kind"] = pa.array(kinds, pa.string())
+    cols["error"] = pa.array(errors, pa.string())
+    return cols, spans_col

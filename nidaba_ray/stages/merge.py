@@ -23,7 +23,7 @@ parallelism levels (SURVEY.md §7 hard parts): vote count desc → token
 asc; backbone priority: variant score desc → variant index asc.
 
 A ``groupby('url')`` shuffle is only needed in multi-crawl mode (same
-url from several snapshots) — see pipelines/dedup.py.
+url from several snapshots) — see ``pipelines/crawls.merge_crawls``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from nidaba_ray.algorithms.strings import align_vote
 from nidaba_ray.record import SPAN_SEP, SPAN_TYPE, PROVENANCE_STRUCT
 from nidaba_ray.stages import score as scoremod
 
-__all__ = ["threshold_and_vote", "vote_row", "MAX_ALIGN_TOKENS"]
+__all__ = ["vote_columns", "vote_row", "MAX_ALIGN_TOKENS"]
 
 # Beyond this many tokens a 3-way disagreement falls back to the
 # highest-priority candidate instead of O(n·m) alignment: bounded
@@ -147,18 +147,10 @@ def vote_row(
     return final, kept, prov, n_blocks, len(kept)
 
 
-def threshold_and_vote(batch: pa.Table) -> pa.Table:
-    """Stateless ``map_batches`` body (fuses with neighbors)."""
-    cols = {
-        name: batch[name] for name in batch.column_names if name != "spans"
-    }
-    return vote_columns(cols, batch["spans"].to_pylist())
-
-
 def vote_columns(cols: dict, spans_col: list[list[dict]]) -> pa.Table:
-    """Core vote over passthrough columns + Python span lists — the
-    fused pipeline calls this directly, skipping the Arrow
-    list<struct> build + to_pylist round trip between stages.
+    """The vote over passthrough columns + Python span lists (the
+    output of ``extract.extract_columns``), the second step of the
+    ``FusedExtract`` actor.
 
     The Otsu and Sauvola kernels run once over the whole batch: the
     block scores of every row they apply to, back to back, with page

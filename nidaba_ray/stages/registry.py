@@ -10,8 +10,9 @@ Ours: ``@register_stage("group.method")`` maps a name to a stage spec
 turns an ordered spec list (dict or YAML) into a lazy Dataset chain.
 
     spec = [
-        {"stage": "extract.candidates", "batch_size": 64},
-        {"stage": "merge.threshold_vote"},
+        {"stage": "dedup.url_latest"},
+        {"stage": "extract.text", "fn_constructor_kwargs": {"spell": False}},
+        {"stage": "clean.mojibake"},
         {"stage": "postprocess.spell", "concurrency": [1, 4]},
     ]
     ds = compile_pipeline(pages, spec)
@@ -111,15 +112,14 @@ def _ensure_builtin() -> None:
     if _BUILTIN_DONE:
         return
     _BUILTIN_DONE = True
-    from nidaba_ray.stages.extract import ExtractCandidates
-    from nidaba_ray.stages.merge import threshold_and_vote
+    from nidaba_ray.pipelines.extract import POOL, FusedExtract
     from nidaba_ray.stages.spell import SpellFilter
     from nidaba_ray.stages.serialize import to_jsonl_rows
 
-    register_stage(
-        "extract.candidates", batch_size=64, concurrency=(1, 8), num_cpus=1
-    )(ExtractCandidates)
-    register_stage("merge.threshold_vote")(threshold_and_vote)
+    # the one extraction stage: the flagship's actor and pool shape;
+    # its one constructor argument, ``spell``, rides
+    # fn_constructor_kwargs
+    register_stage("extract.text", **POOL)(FusedExtract)
     register_stage(
         "postprocess.spell", batch_size=256, concurrency=(1, 4), num_cpus=1
     )(SpellFilter)

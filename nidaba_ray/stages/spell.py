@@ -26,14 +26,18 @@ from nidaba_ray.record import SPAN_SEP
 __all__ = ["SpellFilter"]
 
 MAX_SUGGEST_TOKENS = 3  # bounded per-row suggestion work
+MAX_DIST = 1  # symmetric-delete edit distance of a suggestion
+# the (lang, OOV token) suggestion cache is cleared when it holds this
+# many entries: a long-lived actor meets an unbounded stream of unique
+# tokens, and a suggestion is a pure function of its key
+SUGG_CACHE_MAX = 1 << 16
 
 
 class SpellFilter:
     """``map_batches`` actor: adds n_tokens, oov_count, oov_ratio,
     suggestions (JSON) columns; text is untouched."""
 
-    def __init__(self, max_dist: int = 1) -> None:
-        self.max_dist = max_dist
+    def __init__(self) -> None:
         self._words: dict[str, frozenset[str]] = {}
         self._index: dict[str, dict[str, tuple[str, ...]]] = {}
         # suggestion lists for seen (lang, OOV token) keys (Zipfian
@@ -44,7 +48,7 @@ class SpellFilter:
     def _lang(self, lang: str):
         if lang not in self._words:
             self._words[lang] = lexicon.wordlist(lang)
-            self._index[lang] = lexicon.deletion_index(lang, self.max_dist)
+            self._index[lang] = lexicon.deletion_index(lang, MAX_DIST)
         return self._words[lang], self._index[lang]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -61,7 +65,9 @@ class SpellFilter:
                 key = (lang, t)
                 s = sugg_cache.get(key)
                 if s is None:
-                    s = sugg_cache[key] = sym_suggest(t, index, self.max_dist)[:3]
+                    if len(sugg_cache) >= SUGG_CACHE_MAX:
+                        sugg_cache.clear()
+                    s = sugg_cache[key] = sym_suggest(t, index, MAX_DIST)[:3]
                 sugg[t] = s
             n = len(toks)
             n_tokens_l.append(n)

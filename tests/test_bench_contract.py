@@ -18,7 +18,8 @@ def test_bench_json_contract():
         GRAFT_SKIP_QUERIES="1",
     )
     out = subprocess.run(
-        [sys.executable, "bench.py"], env=env, cwd="/root/repo",
+        [sys.executable, "bench.py"], env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr[-500:]

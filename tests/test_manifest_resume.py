@@ -92,14 +92,14 @@ def pages_file(tmp_path_factory):
 def test_runner_end_to_end_and_resume(ray_session, pages_file, tmp_path):
     from nidaba_ray.pipelines import runner
 
-    cfg = {"extract_concurrency": (1, 2)}
+    spec = [{"stage": "extract.text", "concurrency": [1, 2]}]
     out_dir = str(tmp_path / "job")
-    s1 = runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
+    s1 = runner.run_job(pages_file, out_dir, n_buckets=8, spec=spec)
     assert s1["processed_buckets"] > 0 and s1["skipped_buckets"] == 0
     assert s1["n_rows"] > 0
 
     # all buckets now have manifests → a rerun must process nothing
-    s2 = runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
+    s2 = runner.run_job(pages_file, out_dir, n_buckets=8, spec=spec)
     assert s2["processed_buckets"] == 0
     assert s2["skipped_buckets"] == s1["processed_buckets"]
 
@@ -108,7 +108,7 @@ def test_runner_end_to_end_and_resume(ray_session, pages_file, tmp_path):
     victim = sorted(os.listdir(mdir))[0]
     b_victim = int(victim[len("part-"):-len(".json")])
     os.remove(os.path.join(mdir, victim))
-    s3 = runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
+    s3 = runner.run_job(pages_file, out_dir, n_buckets=8, spec=spec)
     assert s3["processed_buckets"] == 1
     m = mf.read_manifest(out_dir, b_victim, 8)
     assert m.n_rows > 0
@@ -123,9 +123,9 @@ def test_runner_end_to_end_and_resume(ray_session, pages_file, tmp_path):
 def test_job_status(ray_session, pages_file, tmp_path):
     from nidaba_ray.pipelines import runner
 
-    cfg = {"extract_concurrency": (1, 2)}
+    spec = [{"stage": "extract.text", "concurrency": [1, 2]}]
     out_dir = str(tmp_path / "statjob")
-    runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
+    runner.run_job(pages_file, out_dir, n_buckets=8, spec=spec)
     st = runner.job_status(out_dir, 8)
     assert st["complete"] and st["buckets_done"] == 8
     assert st["n_rows"] > 0 and len(st["config_hashes"]) == 1
@@ -148,15 +148,15 @@ def test_crash_rerun_no_duplicates(ray_session, pages_file, tmp_path):
 
     from nidaba_ray.pipelines import runner
 
-    cfg = {"extract_concurrency": (1, 2)}
+    spec = [{"stage": "extract.text", "concurrency": [1, 2]}]
     out_dir = str(tmp_path / "crashjob")
-    s1 = runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
+    s1 = runner.run_job(pages_file, out_dir, n_buckets=8, spec=spec)
     total = s1["n_rows"]
     # simulate crash: victim bucket has data but lost its manifest
     mdir = os.path.join(out_dir, "manifest")
     victim = sorted(os.listdir(mdir))[0]
     os.remove(os.path.join(mdir, victim))
-    s2 = runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
+    s2 = runner.run_job(pages_file, out_dir, n_buckets=8, spec=spec)
     assert s2["processed_buckets"] == 1
     # total rows across the data dir must equal the original count
     n = pq_.ParquetDataset(os.path.join(out_dir, "data")).read(
@@ -170,11 +170,11 @@ def test_noop_resume_is_fast(ray_session, pages_file, tmp_path):
 
     from nidaba_ray.pipelines import runner
 
-    cfg = {"extract_concurrency": (1, 2)}
+    spec = [{"stage": "extract.text", "concurrency": [1, 2]}]
     out_dir = str(tmp_path / "noopjob")
-    runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
+    runner.run_job(pages_file, out_dir, n_buckets=8, spec=spec)
     t0 = time.time()
-    s = runner.run_job(pages_file, out_dir, n_buckets=8, pipeline_config=cfg)
+    s = runner.run_job(pages_file, out_dir, n_buckets=8, spec=spec)
     assert s["skipped_buckets"] == 8 and s["processed_buckets"] == 0
     assert time.time() - t0 < 5.0  # no input scan, no actor spin-up
 
@@ -207,8 +207,8 @@ def test_read_side_bucket_pruning(ray_session, tmp_path):
     n_buckets = 8
     in_dir, src = _bucketed_pages_input(tmp_path, n=120, n_buckets=n_buckets)
     out_dir = str(tmp_path / "out")
-    cfg = {"extract_concurrency": (1, 2)}
-    s1 = run_job(in_dir, out_dir, n_buckets, cfg)
+    spec = [{"stage": "extract.text", "concurrency": [1, 2]}]
+    s1 = run_job(in_dir, out_dir, n_buckets, spec=spec)
     assert s1["processed_buckets"] == n_buckets
     assert s1["pruned_input_buckets"] == 0  # nothing was done yet
 
@@ -218,7 +218,7 @@ def test_read_side_bucket_pruning(ray_session, tmp_path):
         import shutil
 
         shutil.rmtree(os.path.join(out_dir, "data", f"bucket={b}"))
-    s2 = run_job(in_dir, out_dir, n_buckets, cfg)
+    s2 = run_job(in_dir, out_dir, n_buckets, spec=spec)
     assert s2["processed_buckets"] == 3
     assert s2["pruned_input_buckets"] == n_buckets - 3  # files skipped
     # output is complete and row-exact vs the input
@@ -275,8 +275,8 @@ def test_runner_with_registry_spec_resumes(ray_session, tmp_path):
     s3 = run_job(str(src), str(out) + "2", n_buckets=8, spec=spec2)
     assert s3["processed_buckets"] == 8
     from nidaba_ray.state.manifest import config_fingerprint
-    assert config_fingerprint({"n_buckets": 8, "pipeline": {}, "spec": spec}) \
-        != config_fingerprint({"n_buckets": 8, "pipeline": {}, "spec": spec2})
+    assert config_fingerprint({"n_buckets": 8, "spec": spec}) \
+        != config_fingerprint({"n_buckets": 8, "spec": spec2})
 
 
 def test_runner_spec_rebucket_from_url(ray_session, tmp_path):

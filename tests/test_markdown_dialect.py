@@ -59,11 +59,10 @@ def _roundtrip(b):
 
 
 def test_roundtrip_real_extraction():
-    from nidaba_ray.stages.extract import ExtractCandidates
-    from nidaba_ray.stages.merge import threshold_and_vote
+    from nidaba_ray.pipelines.extract import FusedExtract
 
     t = synth.pages_table(n=20).drop_columns(["golden", "doc_id"])
-    b = threshold_and_vote(ExtractCandidates()(t))
+    b = FusedExtract(spell=False)(t)
     loaded = _roundtrip(b)
     assert loaded["url"].to_pylist() == b["url"].to_pylist()
     assert loaded["lang"].to_pylist() == b["lang"].to_pylist()

@@ -1,13 +1,16 @@
 """Keeps the direction-6 audit honest without a Ray session: the
-README module table lists exactly the modules on disk, and every
-operator the queries() docstring names as off-surface still exists."""
+README module table lists exactly the modules on disk, every operator
+the queries() docstring names as off-surface still exists, and every
+example spec names registered stages with arguments they accept."""
 from __future__ import annotations
 
 import importlib
+import inspect
 import pathlib
 import re
 
 import __ray_entry__
+from nidaba_ray.stages import registry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -35,3 +38,16 @@ def test_off_surface_operators_resolve():
         module, attr = name.rsplit(".", 1)
         mod = importlib.import_module(f"nidaba_ray.{module}")
         assert callable(getattr(mod, attr, None)), name
+
+
+def test_example_specs_resolve():
+    specs = sorted((ROOT / "examples").glob("*.yaml"))
+    assert len(specs) >= 10
+    for path in specs:
+        for step in registry.load_spec(str(path)):
+            stage = registry.get_stage(step["stage"])
+            if "fn_constructor_kwargs" in step:
+                assert stage.stateful, (path.name, stage.name)
+                inspect.signature(stage.fn).bind(**step["fn_constructor_kwargs"])
+            if "fn_kwargs" in step and not stage.stateful:
+                inspect.signature(stage.fn).bind(None, **step["fn_kwargs"])

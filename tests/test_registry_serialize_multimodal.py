@@ -2,6 +2,7 @@
 multimodal stages, stats op."""
 
 import json
+import pathlib
 
 import numpy as np
 import pyarrow as pa
@@ -21,10 +22,10 @@ from nidaba_ray.stages.serialize import explode_spans, to_jsonl_rows
 
 def test_registry_lists_builtin():
     names = registry.list_stages()
-    assert {"extract.candidates", "merge.threshold_vote",
-            "postprocess.spell", "output.jsonl", "clean.pii"} <= set(names)
-    assert registry.get_stage("extract.candidates").stateful
-    assert not registry.get_stage("merge.threshold_vote").stateful
+    assert {"extract.text", "postprocess.spell", "output.jsonl",
+            "clean.pii"} <= set(names)
+    assert registry.get_stage("extract.text").stateful
+    assert not registry.get_stage("output.jsonl").stateful
     with pytest.raises(KeyError):
         registry.get_stage("nope.nope")
 
@@ -35,8 +36,8 @@ def test_compile_pipeline_runs(ray_session, tmp_path):
     t = synth.pages_table(n=40)
     pq.write_table(t.drop_columns(["golden", "doc_id"]), str(tmp_path / "p.parquet"))
     spec = [
-        {"stage": "extract.candidates", "batch_size": 32, "concurrency": [1, 2]},
-        {"stage": "merge.threshold_vote"},
+        {"stage": "extract.text", "batch_size": 32, "concurrency": [1, 2],
+         "fn_constructor_kwargs": {"spell": False}},
         {"stage": "postprocess.spell", "concurrency": [1, 2]},
     ]
     ds = registry.compile_pipeline(rd.read_parquet(str(tmp_path / "p.parquet")), spec)
@@ -49,12 +50,12 @@ def test_load_spec_yaml(tmp_path):
     p = tmp_path / "spec.yaml"
     p.write_text(
         "pipeline:\n"
-        "  - stage: extract.candidates\n"
+        "  - stage: extract.text\n"
         "    batch_size: 16\n"
-        "  - stage: merge.threshold_vote\n"
+        "  - stage: clean.pii\n"
     )
     spec = registry.load_spec(str(p))
-    assert spec[0]["stage"] == "extract.candidates"
+    assert spec[0]["stage"] == "extract.text"
     bad = tmp_path / "bad.yaml"
     bad.write_text("pipeline:\n  - nostage: x\n")
     with pytest.raises(ValueError):
@@ -62,11 +63,10 @@ def test_load_spec_yaml(tmp_path):
 
 
 def _extracted_batch():
-    from nidaba_ray.stages.extract import ExtractCandidates
-    from nidaba_ray.stages.merge import threshold_and_vote
+    from nidaba_ray.pipelines.extract import FusedExtract
 
     t = synth.pages_table(n=20).drop_columns(["golden", "doc_id"])
-    return threshold_and_vote(ExtractCandidates()(t))
+    return FusedExtract(spell=False)(t)
 
 
 def test_jsonl_rows_roundtrip():
@@ -295,7 +295,8 @@ def test_compile_quality_hocr_chain(ray_session, tmp_path):
     t = synth.pages_table(n=30)
     pq.write_table(t.drop_columns(["golden", "doc_id"]),
                    str(tmp_path / "p.parquet"))
-    spec = load_spec("/root/repo/examples/extract_quality_hocr.yaml")
+    spec = load_spec(str(pathlib.Path(__file__).resolve().parent.parent
+                         / "examples" / "extract_quality_hocr.yaml"))
     ds = compile_pipeline(rd.read_parquet(str(tmp_path / "p.parquet")), spec)
     df = ds.to_pandas()
     assert set(df.columns) == {"url", "hocr"}

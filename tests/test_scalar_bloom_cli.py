@@ -71,11 +71,8 @@ def test_cli_main(ray_session, tmp_path):
     spec = tmp_path / "spec.yaml"
     spec.write_text(
         "pipeline:\n"
-        "  - stage: extract.candidates\n"
+        "  - stage: extract.text\n"
         "    batch_size: 16\n"
-        "    concurrency: [1, 2]\n"
-        "  - stage: merge.threshold_vote\n"
-        "  - stage: postprocess.spell\n"
         "    concurrency: [1, 2]\n"
     )
     out = str(tmp_path / "out")
@@ -93,9 +90,9 @@ def test_cli_limit(ray_session, tmp_path):
     inp = str(tmp_path / "pages.parquet")
     pq.write_table(t.drop_columns(["golden", "doc_id"]), inp)
     spec = tmp_path / "spec.yaml"
-    spec.write_text("pipeline:\n  - stage: merge.threshold_vote\n")
-    # merge without extract lacks the spans column → a clear error,
-    # not silent wrong output
+    spec.write_text("pipeline:\n  - stage: output.hocr\n")
+    # hOCR serialization over raw pages lacks the spans column → a
+    # clear error, not silent wrong output
     with pytest.raises(Exception):
         main([str(spec), "--input", inp, "--output", str(tmp_path / "o2"), "--limit", "5"])
 
@@ -112,9 +109,9 @@ def test_cli_jsonl_sink(ray_session, tmp_path):
     spec = tmp_path / "spec.yaml"
     spec.write_text(
         "pipeline:\n"
-        "  - stage: extract.candidates\n"
+        "  - stage: extract.text\n"
         "    concurrency: [1, 2]\n"
-        "  - stage: merge.threshold_vote\n"
+        "    fn_constructor_kwargs: {spell: false}\n"
     )
     out = str(tmp_path / "out_jsonl")
     main([str(spec), "--input", inp, "--output", out, "--format", "jsonl"])

@@ -111,9 +111,8 @@ def test_job_with_pipeline_body(ray_session, server, tmp_path):
     code, body = _post(f"{server}/jobs", {
         "input": str(src), "out_dir": str(out), "n_buckets": 4,
         "pipeline": [
-            {"stage": "extract.candidates", "batch_size": 64,
-             "concurrency": [1, 2]},
-            {"stage": "merge.threshold_vote"},
+            {"stage": "extract.text", "batch_size": 64,
+             "concurrency": [1, 2], "fn_constructor_kwargs": {"spell": False}},
             {"stage": "clean.pii"},
         ],
     })

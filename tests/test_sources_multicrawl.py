@@ -18,7 +18,7 @@ def job_out(ray_session, tmp_path_factory):
     pq.write_table(t.drop_columns(["golden", "doc_id"]), inp)
     out_dir = str(d / "out")
     runner.run_job(inp, out_dir, n_buckets=8,
-                   pipeline_config={"extract_concurrency": (1, 2)})
+                   spec=[{"stage": "extract.text", "concurrency": [1, 2]}])
     return out_dir, t
 
 

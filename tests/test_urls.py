@@ -270,10 +270,7 @@ def test_url_dedup_chains_into_extraction(ray_session):
     )
     spec = [
         {"stage": "dedup.url_latest"},
-        {"stage": "extract.candidates", "batch_size": 8,
-         "concurrency": [1, 2]},
-        {"stage": "merge.threshold_vote"},
-        {"stage": "postprocess.spell", "concurrency": [1, 2]},
+        {"stage": "extract.text", "batch_size": 8, "concurrency": [1, 2]},
     ]
     out = compile_pipeline(rd.from_arrow(pages), spec).to_pandas()
     assert len(out) == 2

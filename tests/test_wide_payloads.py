@@ -5,8 +5,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from nidaba_ray import synth
-from nidaba_ray.stages.extract import ExtractCandidates
-from nidaba_ray.stages.merge import threshold_and_vote
+from nidaba_ray.pipelines import extract as extract_mod
 
 
 def big_pages(n=6, words_per_doc=200_000):
@@ -25,13 +24,12 @@ def big_pages(n=6, words_per_doc=200_000):
     ), {f"https://big.com/{i}": t for i, t in rows}
 
 
-def test_byte_cap_slices_batch():
+def test_byte_cap_slices_batch(monkeypatch):
     t, want = big_pages(n=6)
     assert t.nbytes > 4 << 20
-    ex = ExtractCandidates(max_batch_bytes=2 << 20)  # force slicing
-    out = ex(t)
-    assert out.num_rows == 6
-    voted = threshold_and_vote(out)
+    monkeypatch.setattr(extract_mod, "MAX_BATCH_BYTES", 2 << 20)  # force slicing
+    voted = extract_mod.FusedExtract(spell=False)(t)
+    assert voted.num_rows == 6
     got = dict(zip(voted["url"].to_pylist(), voted["text"].to_pylist()))
     assert got == want  # byte-identity survives the slicing path
 
