@@ -9,14 +9,31 @@ inputs to main-content scoring (the binarization analog).
 The block *machine* (stack semantics: block/container/chrome/skip/
 anchor handling) lives in ONE class, ``BlockMachine``, driven by two
 parse fronts: ``segment_html``, a regex scanner (the production
-segmenter, ~2× faster — the stdlib parser was ~50% of flagship
-per-row cost, BASELINE.md), and ``segment_html_stdlib`` over the stdlib
+segmenter — the stdlib parser was ~50% of flagship per-row cost,
+BASELINE.md), and ``segment_html_stdlib`` over the stdlib
 ``html.parser`` (the reference). Sharing the machine means the two
 fronts can only diverge in *tokenization*, which is exactly what the
 equivalence fuzz suite (tests/test_fastsegment.py) gates: it pins
-them block-identical on the synth corpus and a tag-soup fuzz, and a
-change to either must re-run it. The scanner's intended scope is the one the
-reference needs:
+them block-identical on the synth corpus, the real-page fixtures and
+a tag-soup fuzz, and a change to either must re-run it.
+
+The scanner has two lanes. The fast lane is one compiled pattern,
+``_FAST``, walked with ``finditer``: a text run, a strict end tag
+``</name>`` and a start tag whose attributes are plain (no attribute
+of interest, double-quoted values without ``<``/``>``) are each one C
+match. Every other token — a gap in the walk (comment, doctype, stray
+``<``, self-closing or unquoted tag, ...), a ``script``/``style``
+start, or a start tag whose attribute text may carry ``class``/
+``role``/``hidden``/... — goes to ``_faithful_token``, a transcription
+of html.parser's own start/end-tag parsing over its own compiled
+regexes, which consumes that one token; then the walk resumes. About
+2 tokens per page take the faithful path. Tag-name and attribute
+separators in ``_FAST`` are ASCII whitespace only: html.parser's tag
+name runs through Unicode whitespace (``<p``, a no-break space, ``x>``
+is one tag, not ``<p>`` with an attribute ``x``), so a Unicode-aware
+separator would split names the reference keeps whole.
+
+The scanner's intended scope is the one the reference needs:
   * entities decoded in text nodes (html.unescape) and attr values;
   * <script>/<style> content treated as raw data until the closing tag;
   * comments / doctype / CDATA skipped;
@@ -30,12 +47,14 @@ Real-page semantics (beyond the synthetic corpus):
     token (cookie banners, share bars, comment threads, related-link
     grids...), and by ``role`` (navigation/banner/contentinfo/...);
   * hidden subtrees (``hidden``, ``aria-hidden="true"``,
-    ``style="display:none"``) contribute no text at all.
+    ``style="display:none"``) and modal dialogs (``aria-modal="true"``,
+    ``role="dialog"``) contribute no text at all.
 
-Pure Python, deterministic; constructed once per actor in the
-extraction stage. At real 100 TB scale the parser implementation is
-swappable behind the same block-list contract (e.g. a C parser) —
-determinism requires every worker to run the same one.
+Pure Python over C-backed ``re`` patterns, deterministic; one plain
+function call per page, no per-actor state. At real 100 TB scale the
+parser implementation is swappable behind the same block-list
+contract (e.g. a C parser) — determinism requires every worker to run
+the same one.
 """
 
 from __future__ import annotations
@@ -305,9 +324,9 @@ _RAWDATA_END = {
 }
 _HAS_ENTITY = re.compile(r"&[#a-zA-Z]")
 
-# Start tags are parsed with html.parser's OWN compiled regexes and a
-# faithful transcription of parse_starttag/check_for_whole_start_tag —
-# parity with the stdlib reference implementation by construction
+# Start tags off the fast lane are parsed with html.parser's OWN
+# compiled regexes and a faithful transcription of parse_starttag/
+# check_for_whole_start_tag — parity with the stdlib reference implementation by construction
 # (verified by the equivalence fuzz suite). All three are C-backed
 # compiled patterns; the walk runs once per tag.
 from html.parser import attrfind_tolerant as _ATTRFIND
@@ -324,24 +343,136 @@ _LETTERS_EQ_SLASH = _ASCII_LETTERS | {"=", "/"}
 # Only these attributes influence block semantics (the machine above);
 # values of all others are skipped without group extraction.
 _INTEREST_ATTRS = frozenset(
-    ("class", "id", "role", "hidden", "aria-hidden", "style")
+    ("class", "id", "role", "hidden", "aria-hidden", "aria-modal", "style")
 )
-# Cheap pre-check on the raw tag slice: when none of the interesting
-# attr names can occur, the attr walk skips all group extraction (the
-# common case — most tags carry only href/src; false positives from
-# substrings in values just take the slower exact path).
-_HAS_INTEREST = re.compile(r"class|id|role|hidden|style", re.I)
+# Cheap pre-check on the raw tag slice, built from the set above so the
+# two cannot drift apart: when none of the interesting attr names can
+# occur, the fast lane takes the tag and the faithful attr walk skips
+# all group extraction (the common case — most tags carry only
+# href/src; false positives from substrings in values just take the
+# slower exact path).
+_HAS_INTEREST = re.compile(
+    "|".join(map(re.escape, sorted(_INTEREST_ATTRS))), re.I
+)
+
+# The fast lane: one master pattern classifies the common tokens in C —
+# a text run, a strict end tag, a start tag with no or only plain
+# attributes (ASCII-whitespace separated, double-quoted values without
+# '<'/'>'). Separators are ASCII on purpose: html.parser's tag name
+# runs through Unicode whitespace ('<p\xa0x>' is one tag named
+# 'p\xa0x'), so '\s' here would split names the reference keeps whole.
+_NAME = r"[a-zA-Z][-.a-zA-Z0-9:_]*"
+_FAST = re.compile(
+    r"([^<]+)"                                          # text run  (1)
+    rf"|</({_NAME})>"                                   # end tag   (2)
+    rf"|<({_NAME})((?:[ \t\n\r\f]+[a-zA-Z][-a-zA-Z0-9_:.]*"
+    r'(?:="[^"<>]*")?)*)>'                              # start tag (3, 4)
+)
+
+
+def _faithful_token(html_text: str, lt: int, m: BlockMachine, data) -> int:
+    """Consume the one token at ``html_text[lt] == '<'`` that the fast
+    lane declined, exactly as html.parser would, and return the offset
+    after it."""
+    n = len(html_text)
+    nxt = html_text[lt + 1] if lt + 1 < n else ""
+    if nxt in _ASCII_LETTERS:
+        # faithful check_for_whole_start_tag
+        m2 = _STDLIB_TAGEND.match(html_text, lt)
+        j = m2.end()
+        nxtc = html_text[j : j + 1]
+        if nxtc == ">":
+            endpos = j + 1
+        elif nxtc == "/":
+            if html_text.startswith("/>", j):
+                endpos = j + 2
+            elif j + 1 >= n:
+                endpos = -1  # buffer boundary → incomplete at EOF
+            else:
+                endpos = j if j > lt else lt + 1
+        elif nxtc == "" or nxtc in _LETTERS_EQ_SLASH:
+            endpos = -1  # end of input mid-tag
+        else:
+            endpos = j if j > lt else lt + 1
+        if endpos < 0:
+            # goahead's EOF recovery: data up to and including the
+            # next '>', else up to the next '<', else just '<'
+            gt = html_text.find(">", lt + 1)
+            if gt >= 0:
+                k2 = gt + 1
+            else:
+                lt2 = html_text.find("<", lt + 1)
+                k2 = lt2 if lt2 >= 0 else lt + 1
+            data(html_text[lt:k2])
+            return k2
+        # faithful parse_starttag: name + attr walk decide whether
+        # the trailing text is '>', '/>' or junk (→ data); attrs of
+        # interest are extracted exactly as parse_starttag does
+        # (lowercased name, quote-stripped + unescaped value).
+        tm = _TAGFIND.match(html_text, lt + 1)
+        name = tm.group(1).lower()
+        k = tm.end()
+        attrs: list[tuple[str, str | None]] = []
+        if _HAS_INTEREST.search(html_text, k, endpos) is None:
+            while k < endpos:  # fast path: no group extraction
+                am = _ATTRFIND.match(html_text, k)
+                if not am:
+                    break
+                k = am.end()
+        else:
+            while k < endpos:
+                am = _ATTRFIND.match(html_text, k)
+                if not am:
+                    break
+                aname = am.group(1).lower()
+                if aname in _INTEREST_ATTRS:
+                    rest, avalue = am.group(2), am.group(3)
+                    if not rest:
+                        avalue = None
+                    elif avalue[:1] == "'" == avalue[-1:] or \
+                            avalue[:1] == '"' == avalue[-1:]:
+                        avalue = avalue[1:-1]
+                    if avalue:
+                        avalue = unescape(avalue)
+                    attrs.append((aname, avalue))
+                k = am.end()
+        end = html_text[k:endpos].strip()
+        if end not in (">", "/>"):
+            data(html_text[lt:endpos])  # malformed slice → text
+            return endpos
+        if name in _RAWDATA_END and end == ">":
+            m.start(name, attrs)
+            m3 = _RAWDATA_END[name].search(html_text, endpos)
+            m.end(name)
+            return n if m3 is None else m3.end()
+        m.start(name, attrs)
+        if end == "/>" and name not in VOID_TAGS:
+            m.end(name)
+        return endpos
+    tok = _TOKEN.match(html_text, lt)
+    if tok is None:
+        data("<")  # stray '<' is text (lenient, like html.parser)
+        return lt + 1
+    end_tag = tok.group(1) or tok.group(2)
+    if end_tag is not None:
+        m.end(end_tag.lower())
+    # comments / doctype / CDATA / PI / bogus end tags: skipped
+    return tok.end()
 
 
 def segment_html(html_text: str) -> list[Block]:
     """Parse an HTML document into reading-order blocks.
 
     Never raises on tag soup (per-row error isolation happens one level
-    up, on decode failures). One regex-scanner pass drives the shared
-    machine; block-identical to ``segment_html_stdlib``."""
+    up, on decode failures). One scan drives the shared machine: the
+    ``_FAST`` lane takes every token it matches, and any other token
+    (a gap in the scan, a script/style start, a start tag whose
+    attributes may matter) goes through ``_faithful_token``, after
+    which the scan resumes. Block-identical to ``segment_html_stdlib``."""
     m = BlockMachine()
     m_start = m.start
     m_end = m.end
+    m_data = m.data
 
     def data(raw: str) -> None:
         # entity decode only when an entity is present
@@ -352,99 +483,25 @@ def segment_html(html_text: str) -> list[Block]:
     pos = 0
     n = len(html_text)
     while pos < n:
-        lt = html_text.find("<", pos)
-        if lt == -1:
-            data(html_text[pos:])
-            break
-        if lt > pos:
-            data(html_text[pos:lt])
-        nxt = html_text[lt + 1] if lt + 1 < n else ""
-        if nxt in _ASCII_LETTERS:
-            # faithful check_for_whole_start_tag
-            m2 = _STDLIB_TAGEND.match(html_text, lt)
-            j = m2.end()
-            nxtc = html_text[j : j + 1]
-            if nxtc == ">":
-                endpos = j + 1
-            elif nxtc == "/":
-                if html_text.startswith("/>", j):
-                    endpos = j + 2
-                elif j + 1 >= n:
-                    endpos = -1  # buffer boundary → incomplete at EOF
-                else:
-                    endpos = j if j > lt else lt + 1
-            elif nxtc == "" or nxtc in _LETTERS_EQ_SLASH:
-                endpos = -1  # end of input mid-tag
+        for fm in _FAST.finditer(html_text, pos):
+            if fm.start() != pos:
+                break
+            text, end_name, name, attr_text = fm.groups()
+            if text is not None:
+                if not m.skip_depth:
+                    m_data(unescape(text) if _HAS_ENTITY.search(text)
+                           else text)
+            elif end_name is not None:
+                m_end(end_name.lower())
             else:
-                endpos = j if j > lt else lt + 1
-            if endpos < 0:
-                # goahead's EOF recovery: data up to and including the
-                # next '>', else up to the next '<', else just '<'
-                gt = html_text.find(">", lt + 1)
-                if gt >= 0:
-                    k2 = gt + 1
-                else:
-                    lt2 = html_text.find("<", lt + 1)
-                    k2 = lt2 if lt2 >= 0 else lt + 1
-                data(html_text[lt:k2])
-                pos = k2
-                continue
-            # faithful parse_starttag: name + attr walk decide whether
-            # the trailing text is '>', '/>' or junk (→ data); attrs of
-            # interest are extracted exactly as parse_starttag does
-            # (lowercased name, quote-stripped + unescaped value).
-            tm = _TAGFIND.match(html_text, lt + 1)
-            name = tm.group(1).lower()
-            k = tm.end()
-            attrs: list[tuple[str, str | None]] = []
-            if _HAS_INTEREST.search(html_text, k, endpos) is None:
-                while k < endpos:  # fast path: no group extraction
-                    am = _ATTRFIND.match(html_text, k)
-                    if not am:
-                        break
-                    k = am.end()
-            else:
-                while k < endpos:
-                    am = _ATTRFIND.match(html_text, k)
-                    if not am:
-                        break
-                    aname = am.group(1).lower()
-                    if aname in _INTEREST_ATTRS:
-                        rest, avalue = am.group(2), am.group(3)
-                        if not rest:
-                            avalue = None
-                        elif avalue[:1] == "'" == avalue[-1:] or \
-                                avalue[:1] == '"' == avalue[-1:]:
-                            avalue = avalue[1:-1]
-                        if avalue:
-                            avalue = unescape(avalue)
-                        attrs.append((aname, avalue))
-                    k = am.end()
-            end = html_text[k:endpos].strip()
-            if end not in (">", "/>"):
-                data(html_text[lt:endpos])  # malformed slice → text
-                pos = endpos
-                continue
-            if name in _RAWDATA_END and end == ">":
-                m_start(name, attrs)
-                m3 = _RAWDATA_END[name].search(html_text, endpos)
-                pos = n if m3 is None else m3.end()
-                m_end(name)
-                continue
-            m_start(name, attrs)
-            if end == "/>" and name not in VOID_TAGS:
-                m_end(name)
-            pos = endpos
-            continue
-        tok = _TOKEN.match(html_text, lt)
-        if tok is None:
-            data("<")  # stray '<' is text (lenient, like html.parser)
-            pos = lt + 1
-            continue
-        end_tag = tok.group(1) or tok.group(2)
-        pos = tok.end()
-        if end_tag is not None:
-            m_end(end_tag.lower())
-        # comments / doctype / CDATA / PI / bogus end tags: skipped
+                name = name.lower()
+                if name in _RAWDATA_END or (
+                    attr_text and _HAS_INTEREST.search(attr_text)
+                ):
+                    break
+                m_start(name)
+            pos = fm.end()
+        if pos < n:
+            pos = _faithful_token(html_text, pos, m, data)
     m._flush()
     return m.blocks

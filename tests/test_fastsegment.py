@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidaba_ray import synth
+from nidaba_ray import realpages, synth
+from nidaba_ray.algorithms.strings import sanitize
+from nidaba_ray.stages import segment
 from nidaba_ray.stages.segment import segment_html, segment_html_stdlib
 
 
@@ -23,14 +25,45 @@ def assert_same(html):
     assert tup(segment_html(html)) == tup(segment_html_stdlib(html)), html
 
 
-def test_synth_corpus_equivalence():
+def synth_pages():
     rng = random.Random(3)
     vocab = [f"word{i:03d}" for i in range(100)]
+    pages = []
     for doc_id in range(150):
         if synth.payload_kind(doc_id) != "html":
             continue
         text = " ".join(rng.choice(vocab) for _ in range(rng.randint(5, 200)))
-        assert_same(synth.make_html(doc_id, text, "en").decode())
+        pages.append(synth.make_html(doc_id, text, "en").decode())
+    return pages
+
+
+def test_synth_corpus_equivalence():
+    for html in synth_pages():
+        assert_same(html)
+
+
+def test_real_fixture_equivalence():
+    # the 194 hand-labelled pages, sanitized as extraction does
+    for html in realpages.fixture_pages_table().column("html").to_pylist():
+        assert_same(sanitize(html.decode("utf-8"), "NFC"))
+
+
+def test_fast_lane_carries_most_tokens(monkeypatch):
+    # timing-free guard: only rare tokens may leave the one-regex lane
+    # for the faithful html.parser transcription
+    calls = []
+    faithful = segment._faithful_token
+
+    def counted(*args):
+        calls.append(args[1])
+        return faithful(*args)
+
+    monkeypatch.setattr(segment, "_faithful_token", counted)
+    pages = synth_pages()
+    for html in pages:
+        segment_html(html)
+    n_lt = sum(html.count("<") for html in pages)
+    assert calls and len(calls) <= 0.05 * n_lt, (len(calls), n_lt)
 
 
 FRAGS = [
@@ -56,6 +89,13 @@ FRAGS = [
     '<span style="display:none">', "</span>", '<ul role="navigation">',
     '<div class="a&amp;b-nav">', "<p hidden>", '<div class>', "<div class=>",
     '<div class="share social">', '<td class="meta">', "</td>",
+    '<div aria-modal="true">', '<div aria-modal="false">',
+    # fast-lane boundaries: html.parser's tag name runs through Unicode
+    # whitespace, NUL and CR/LF shapes, case, odd name characters,
+    # quoted '>' and empty/valueless/entity attribute values
+    "<p\xa0x>", "<p\vx>", "<em\x00>", "<i\r\n>", "</i\n>", "<P>",
+    '<a HREF="/q" rel="n">', "<x:y>", "<p-q>", "<a.b>", '<a href="a>b">',
+    '<a b="">', "<a b c>", '<a b="&amp;">',
 ]
 
 
@@ -63,6 +103,21 @@ def test_tag_soup_fuzz_equivalence():
     rng = random.Random(7)
     for _ in range(800):
         html = "".join(rng.choice(FRAGS) for _ in range(rng.randint(2, 50)))
+        assert_same(html)
+
+
+SOUP = "<>/=\"' \t\n\xa0\vabcpdiv"
+
+
+def test_extended_fuzz_equivalence():
+    # half FRAGS mixes, half character soup around the fast lane's
+    # boundaries (quotes, '=', ASCII vs Unicode whitespace)
+    rng = random.Random(11)
+    for i in range(30_000):
+        if i % 2:
+            html = "".join(rng.choices(SOUP, k=rng.randint(1, 40)))
+        else:
+            html = "".join(rng.choices(FRAGS, k=rng.randint(1, 12)))
         assert_same(html)
 
 
@@ -95,6 +150,7 @@ def test_arbitrary_text_equivalence(text):
     "<p title='a>b'>attr with gt</p>",
     "<p>x<âl>y <ß>z</p>",                        # '<' + non-ASCII letter
     "<ul><li>a</li|<li>b",                       # '</li|<li>' closes nothing
+    '<div aria-modal="true"><p>modal text</p></div><p>page</p>',
 ])
 def test_known_edge_cases(html):
     assert_same(html)
