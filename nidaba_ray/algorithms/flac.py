@@ -561,6 +561,8 @@ def decode_flac_pcm(payload: bytes) -> tuple[np.ndarray, int, int]:
         pcm = pcm[:total]
     if n_ch != n_ch_si:
         raise ValueError("channel count disagrees with STREAMINFO")
+    if not rate:
+        raise ValueError("zero sample rate")
     if md5_expect != b"\x00" * 16 and bps_si % 8 == 0:
         dt = {8: np.int8, 16: np.int16, 24: None, 32: np.int32}[bps_si]
         if dt is not None:

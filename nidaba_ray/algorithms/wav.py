@@ -83,6 +83,8 @@ def _parse_fmt(chunk: bytes) -> tuple[int, int, int, int, int]:
         fmt = struct.unpack("<H", chunk[24:26])[0]
     if n_ch == 0 or block == 0:
         raise ValueError("zero channels or block align")
+    if rate == 0:
+        raise ValueError("zero sample rate")
     return fmt, n_ch, rate, block, bits
 
 

@@ -1,6 +1,6 @@
 """Multimodal feature pipeline — image/audio/video payloads through
-actor-pool decode/feature stages (driver instruction; stub decoders,
-real Ray plumbing — see stages/multimodal.py).
+actor-pool decode/feature stages. Every payload is a real container
+read by the repo's own codecs (see stages/multimodal.py).
 
 The media table is synthesized deterministically, sized by the sf
 dir's documents table (one media object per document id), so the
@@ -199,29 +199,25 @@ rows_native AS (
         CASE (i // 3) % 5
           WHEN 1 THEN 'png' WHEN 2 THEN 'jpeg' WHEN 3 THEN 'gif'
           WHEN 4 THEN 'tiff'
-          ELSE CASE WHEN (i // 15) % 2 = 1 THEN 'webp' ELSE 'fakeimg' END
+          ELSE CASE WHEN (i // 15) % 2 = 1 THEN 'webp' ELSE 'bmp' END
         END
       WHEN i % 3 = 1 THEN
         CASE
           WHEN i % 6 = 1 THEN 'wav'
           WHEN (i // 6) % 2 = 1 THEN 'aiff'
           WHEN (i // 12) % 2 = 1 THEN 'flac'
-          ELSE 'fakeaud'
+          ELSE 'wav'
         END
-      ELSE
-        CASE (i // 3) % 4
-          WHEN 1 THEN 'avi' WHEN 2 THEN 'avi' WHEN 3 THEN 'gif'
-          ELSE 'fakevid'
-        END
+      ELSE CASE WHEN (i // 3) % 4 = 3 THEN 'gif' ELSE 'avi' END
     END AS container,
     CASE
       WHEN i % 3 = 0 THEN 32 + (i % 4) * 16
-      WHEN i % 3 = 2 AND (i // 3) % 4 <> 0 THEN 16
+      WHEN i % 3 = 2 THEN 16
       ELSE 0
     END AS width,
     CASE
       WHEN i % 3 = 0 THEN 24
-      WHEN i % 3 = 2 AND (i // 3) % 4 <> 0 THEN 16
+      WHEN i % 3 = 2 THEN 16
       ELSE 0
     END AS height,
     CASE
@@ -230,19 +226,11 @@ rows_native AS (
       ELSE 6
     END AS n_units,
     CASE
-      WHEN i % 3 = 1 AND NOT (i % 6 <> 1 AND (i // 6) % 2 <> 1
-                              AND (i // 12) % 2 <> 1)
-        THEN (1000 + (i % 5) * 500) * 1000 // 12000
-      WHEN i % 3 = 2 AND (i // 3) % 4 IN (1, 2)
-        THEN 6 * 83333 // 1000
+      WHEN i % 3 = 1 THEN (1000 + (i % 5) * 500) * 1000 // 12000
+      WHEN i % 3 = 2 AND (i // 3) % 4 <> 3 THEN 6 * 83333 // 1000
       ELSE 0
     END AS duration_ms,
-    CASE
-      WHEN i % 3 = 1 AND NOT (i % 6 <> 1 AND (i // 6) % 2 <> 1
-                              AND (i // 12) % 2 <> 1)
-        THEN 12000
-      ELSE 0
-    END AS sample_rate
+    CASE WHEN i % 3 = 1 THEN 12000 ELSE 0 END AS sample_rate
   FROM ids
 ),
 rows_mp4 AS (

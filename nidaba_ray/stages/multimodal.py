@@ -1,49 +1,37 @@
 """Multimodal column stages — image / audio / video as opaque binary
-columns with typed metadata (driver instruction).
+columns with typed metadata, decoded by the repo's own from-scratch,
+public-spec codecs in :mod:`nidaba_ray.algorithms`.
 
-IMAGES decode for real since round 4: payloads may be PNG, JPEG
-(baseline + progressive), GIF, TIFF, lossless WebP (VP8L) or
-uncompressed BMP bytes, decoded by the repo's own from-scratch codecs
-(:mod:`nidaba_ray.algorithms.png` / ``.jpeg`` / ``.gif`` / ``.tiff``
-/ ``.webp`` — public-spec, zlib-only, same approach as the PDF
-parser), converted to grayscale with integer BT.601 luma. AUDIO decodes for real since
-round 5: RIFF/WAVE payloads (8/16/24/32-bit PCM + IEEE float, incl.
-EXTENSIBLE) via :mod:`nidaba_ray.algorithms.wav`, and AIFF/AIFF-C
-(big-endian PCM, ``sowt``, ``fl32``/``fl64``) via
-:mod:`nidaba_ray.algorithms.aiff`. VIDEO decodes for
-real since round 5 as well: AVI/RIFF containers with Motion-JPEG
-(``00dc`` = baseline JPEG per frame) or uncompressed DIB frames via
-:mod:`nidaba_ray.algorithms.avi`, and animated GIF via ``.gif`` —
-the frame walk is lazy, so samplers pay the JPEG IDCT / LZW only for
-the frames they keep. The FAKE* containers remain as legacy
-synthetic source formats.
+* IMAGES: PNG, JPEG (baseline + progressive), GIF, TIFF, lossless
+  WebP (VP8L) and uncompressed BMP, converted to grayscale with
+  integer BT.601 luma.
+* AUDIO: RIFF/WAVE (8/16/24/32-bit PCM + IEEE float, incl.
+  EXTENSIBLE), AIFF/AIFF-C (big-endian PCM, ``sowt``, ``fl32``/
+  ``fl64``) and FLAC, as float samples in [-1, 1] plus a positive
+  sample rate.
+* VIDEO: AVI/RIFF with Motion-JPEG (``00dc`` = baseline JPEG per
+  frame) or uncompressed DIB frames, and animated GIF. The frame walk
+  is lazy, so samplers pay the JPEG IDCT / LZW only for the frames
+  they keep.
 
-Fake media container (produced by ``synth_media_batch``):
-    b"FAKEIMG\\0" + uint16 width + uint16 height + width*height bytes
-    b"FAKEAUD\\0" + uint32 n_samples + n_samples int8 samples
-    b"FAKEVID\\0" + uint16 n_frames + per-frame FAKEIMG payloads
+``synth_media_batch`` writes only these containers, so a synthetic
+payload takes the same decode path as a crawled one. ``probe_media``
+additionally reads MP4, MP3 and Ogg headers without decoding them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import numpy as np
 import pyarrow as pa
 
 __all__ = [
-    "IMG_MAGIC", "AUD_MAGIC", "VID_MAGIC",
     "synth_media_batch", "decode_image", "decode_audio",
     "iter_video_frames",
     "ImageDecoder", "AudioFeatures", "VideoFrameSampler",
     "MediaFeatureExtractor", "probe_media", "MediaProbe",
 ]
-
-IMG_MAGIC = b"FAKEIMG\x00"
-AUD_MAGIC = b"FAKEAUD\x00"
-VID_MAGIC = b"FAKEVID\x00"
-
 
 def _bytes_for(key: str, n: int) -> bytes:
     out = b""
@@ -52,10 +40,6 @@ def _bytes_for(key: str, n: int) -> bytes:
         out += hashlib.md5(f"{key}:{i}".encode()).digest()
         i += 1
     return out[:n]
-
-
-def _fake_img(key: str, w: int, h: int) -> bytes:
-    return IMG_MAGIC + struct.pack("<HH", w, h) + _bytes_for(key, w * h)
 
 
 def synth_media_batch(ids: list[int]) -> pa.Table:
@@ -67,8 +51,8 @@ def synth_media_batch(ids: list[int]) -> pa.Table:
             w, h = 32 + (i % 4) * 16, 24 + (i % 3) * 16
             px = np.frombuffer(_bytes_for(f"img{i}", w * h),
                                np.uint8).reshape(h, w)
-            wire = (i // 3) % 5  # rotate the on-wire format: real
-            if wire == 1:        # codecs carry 4/5 of the corpus
+            wire = (i // 3) % 5  # rotate the on-wire format
+            if wire == 1:
                 from nidaba_ray.algorithms.png import encode_png
 
                 payloads.append(encode_png(px))
@@ -93,66 +77,61 @@ def synth_media_batch(ids: list[int]) -> pa.Table:
                                                 predictor=2))
                 else:
                     payloads.append(encode_tiff(px, compression="packbits"))
-            elif (i // 15) % 2:  # half the former FAKEIMG slots → WebP
+            elif (i // 15) % 2:
                 from nidaba_ray.algorithms.webp import encode_webp
 
                 payloads.append(encode_webp(px, use_palette=False,
                                             predictor_mode=2))
-            else:
-                payloads.append(_fake_img(f"img{i}", w, h))
+            else:  # 24-bit BMP; gray stacked to RGB keeps its luma
+                from nidaba_ray.algorithms.png import encode_bmp
+
+                payloads.append(encode_bmp(np.repeat(px[:, :, None], 3, 2)))
             metas.append({"width": w, "height": h, "frames": 1})
         elif k == "audio":
             n = 1000 + (i % 5) * 500
-            if i % 6 == 1:  # real RIFF/WAVE bytes (int16 PCM mono)
+            rate = 8000 + (i % 3) * 4000
+            if i % 6 == 1:  # RIFF/WAVE, int16 PCM mono
                 from nidaba_ray.algorithms.wav import encode_wav
 
                 pcm = np.frombuffer(_bytes_for(f"wav{i}", 2 * n),
                                     dtype="<i2")
-                payloads.append(
-                    encode_wav(pcm, rate=8000 + (i % 3) * 4000))
-            elif (i // 6) % 2:  # real AIFF bytes (int16 BE PCM mono)
+                payloads.append(encode_wav(pcm, rate=rate))
+            elif (i // 6) % 2:  # AIFF, int16 BE PCM mono
                 from nidaba_ray.algorithms.aiff import encode_aiff
 
                 pcm = np.frombuffer(_bytes_for(f"aiff{i}", 2 * n),
                                     dtype="<i2")
-                payloads.append(
-                    encode_aiff(pcm, rate=8000 + (i % 3) * 4000))
-            elif (i // 12) % 2:  # real FLAC bytes (int16 PCM mono)
+                payloads.append(encode_aiff(pcm, rate=rate))
+            elif (i // 12) % 2:  # FLAC, int16 PCM mono
                 from nidaba_ray.algorithms.flac import encode_flac
 
                 pcm = np.frombuffer(_bytes_for(f"flac{i}", 2 * n),
                                     dtype="<i2")
-                payloads.append(
-                    encode_flac(pcm, rate=8000 + (i % 3) * 4000))
-            else:  # legacy FAKEAUD container coverage
-                payloads.append(
-                    AUD_MAGIC + struct.pack("<I", n)
-                    + bytes((b + 128) % 256 for b in _bytes_for(f"aud{i}", n))
-                )
+                payloads.append(encode_flac(pcm, rate=rate))
+            else:  # RIFF/WAVE, 8-bit unsigned PCM mono
+                from nidaba_ray.algorithms.wav import encode_wav
+
+                pcm = np.frombuffer(_bytes_for(f"aud{i}", n), np.uint8)
+                payloads.append(encode_wav(pcm ^ np.uint8(0x80), rate=rate))
             metas.append({"width": 0, "height": 0, "frames": n})
         else:
             nf = 4 + i % 3
-            wire = (i // 3) % 4  # legacy / AVI-MJPG / AVI-DIB / GIF
-            if wire:
-                px = np.stack([
-                    np.frombuffer(_bytes_for(f"vid{i}f{f}", 16 * 16),
-                                  np.uint8).reshape(16, 16)
-                    for f in range(nf)
-                ])
-                if wire == 3:  # animated GIF as the video container
-                    from nidaba_ray.algorithms.gif import encode_gif
+            px = np.stack([
+                np.frombuffer(_bytes_for(f"vid{i}f{f}", 16 * 16),
+                              np.uint8).reshape(16, 16)
+                for f in range(nf)
+            ])
+            wire = (i // 3) % 4  # AVI-DIB / AVI-MJPG / AVI-DIB / GIF
+            if wire == 3:  # animated GIF as the video container
+                from nidaba_ray.algorithms.gif import encode_gif
 
-                    payloads.append(encode_gif(px, delay_cs=8))
-                else:
-                    from nidaba_ray.algorithms.avi import encode_avi
-
-                    codec = "MJPG" if wire == 1 else "DIB "
-                    payloads.append(encode_avi(px, fps=12, codec=codec,
-                                               quality=92))
+                payloads.append(encode_gif(px, delay_cs=8))
             else:
-                frames = b"".join(
-                    _fake_img(f"vid{i}f{f}", 16, 16) for f in range(nf))
-                payloads.append(VID_MAGIC + struct.pack("<H", nf) + frames)
+                from nidaba_ray.algorithms.avi import encode_avi
+
+                codec = "MJPG" if wire == 1 else "DIB "
+                payloads.append(encode_avi(px, fps=12, codec=codec,
+                                           quality=92))
             metas.append({"width": 16, "height": 16, "frames": nf})
         kinds.append(k)
     meta_type = pa.struct([("width", pa.int32()), ("height", pa.int32()),
@@ -167,27 +146,15 @@ def synth_media_batch(ids: list[int]) -> pa.Table:
     )
 
 
-def _decode_fake_img(payload: bytes) -> np.ndarray:
-    """FAKEIMG container decoder (the synthetic source format).
-    Raises ValueError on malformed payloads (quarantine path)."""
-    if payload[:8] != IMG_MAGIC:
-        raise ValueError("not a FAKEIMG payload")
-    w, h = struct.unpack("<HH", payload[8:12])
-    px = np.frombuffer(payload[12 : 12 + w * h], dtype=np.uint8)
-    if len(px) != w * h:
-        raise ValueError("truncated image payload")
-    return px.reshape(h, w)
-
-
 def decode_image(payload: bytes) -> np.ndarray:
     """Format-dispatching image decode → (h, w) grayscale uint8.
 
-    Real formats first: PNG (signature sniff), JPEG (SOI sniff;
-    baseline + progressive), GIF ("GIF8", first frame), TIFF
-    ("II*"/"MM*"), lossless WebP ("RIFF…WEBP", VP8L) and BMP ("BM")
-    via the from-scratch public-spec codecs in algorithms/; the
-    FAKEIMG container remains for synthetic corpora. ValueError on
-    anything malformed — the actor stages' per-row quarantine path."""
+    PNG (signature sniff), JPEG (SOI sniff; baseline + progressive),
+    GIF ("GIF8", first frame), TIFF ("II*"/"MM*"), lossless WebP
+    ("RIFF…WEBP", VP8L) and BMP ("BM") via the from-scratch
+    public-spec codecs in algorithms/. ValueError on anything
+    malformed or unrecognized — the actor stages' per-row quarantine
+    path."""
     from nidaba_ray.algorithms.gif import decode_gif, is_gif
     from nidaba_ray.algorithms.jpeg import decode_jpeg, is_jpeg
     from nidaba_ray.algorithms.png import PNG_SIG, decode_bmp, decode_png, to_gray
@@ -206,7 +173,7 @@ def decode_image(payload: bytes) -> np.ndarray:
         return to_gray(decode_webp(payload))
     if payload[:2] == b"BM":
         return to_gray(decode_bmp(payload))
-    return _decode_fake_img(payload)
+    raise ValueError("unrecognized image payload")
 
 
 class ImageDecoder:
@@ -254,13 +221,12 @@ class ImageDecoder:
 
 def decode_audio(payload: bytes) -> tuple[np.ndarray, int]:
     """Format-dispatching audio decode → ((frames, ch) float64,
-    sample_rate). Real formats first: RIFF/WAVE via the from-scratch
-    codec in algorithms/wav.py (8/16/24/32-bit PCM, IEEE float,
-    EXTENSIBLE) and AIFF/AIFF-C via algorithms/aiff.py (BE PCM, sowt,
-    fl32/fl64); the FAKEAUD container remains for legacy synthetic
-    corpora (its int8 samples normalize onto the same [-1, 1) scale
-    so features are comparable across containers). ValueError on
-    anything malformed — the per-row quarantine path."""
+    sample_rate). RIFF/WAVE via the from-scratch codec in
+    algorithms/wav.py (8/16/24/32-bit PCM, IEEE float, EXTENSIBLE),
+    AIFF/AIFF-C via algorithms/aiff.py (BE PCM, sowt, fl32/fl64) and
+    FLAC via algorithms/flac.py; every codec rejects a 0 Hz header, so
+    the rate is always positive. ValueError on anything malformed or
+    unrecognized — the per-row quarantine path."""
     from nidaba_ray.algorithms.aiff import decode_aiff, is_aiff
     from nidaba_ray.algorithms.flac import decode_flac, is_flac
     from nidaba_ray.algorithms.wav import decode_wav, is_wav
@@ -271,27 +237,18 @@ def decode_audio(payload: bytes) -> tuple[np.ndarray, int]:
         return decode_aiff(payload)
     if is_flac(payload):
         return decode_flac(payload)
-    if payload[:8] != AUD_MAGIC:
-        raise ValueError("not a WAV, AIFF, FLAC or FAKEAUD payload")
-    (n,) = struct.unpack("<I", payload[8:12])
-    samples = np.frombuffer(payload[12:12 + n], dtype=np.uint8).astype(
-        np.float64
-    ) - 128.0
-    if len(samples) != n:
-        raise ValueError("truncated audio payload")
-    return samples[:, None] / 128.0, 0
+    raise ValueError("not a WAV, AIFF or FLAC payload")
 
 
 class AudioFeatures:
     """Actor-pool stage: per-clip summary features over decoded
-    samples (REAL WAV/RIFF decode since round 5; FAKEAUD legacy).
+    samples (WAV, AIFF or FLAC via decode_audio).
 
     Features per clip, all numpy-vectorized over the mono mixdown:
     RMS level, zero-crossing rate (sign changes / sample steps), and
-    spectral centroid (magnitude-weighted mean rfft frequency — in Hz
-    when the container carries a sample rate, in normalized bin units
-    for the rate-less FAKEAUD legacy container). Reported floats are
-    rounded to 6 dp so downstream comparisons are bit-stable."""
+    spectral centroid (magnitude-weighted mean rfft frequency in Hz).
+    Reported floats are rounded to 6 dp so downstream comparisons are
+    bit-stable."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids, n_samples, rms, zcr, cent, errors = [], [], [], [], [], []
@@ -309,9 +266,7 @@ class AudioFeatures:
                     float(np.count_nonzero(sign[1:] != sign[:-1]))
                     / max(len(mono) - 1, 1), 6))
                 spec = np.abs(np.fft.rfft(mono))
-                freqs = (np.fft.rfftfreq(len(mono), d=1.0 / rate)
-                         if rate > 0 else
-                         np.arange(len(spec), dtype=np.float64))
+                freqs = np.fft.rfftfreq(len(mono), d=1.0 / rate)
                 denom = float(spec.sum())
                 cent.append(round(
                     float((freqs * spec).sum() / denom), 6)
@@ -340,15 +295,14 @@ def iter_video_frames(payload: bytes):
     ``(frame_idx, decode_thunk)`` where ``decode_thunk()`` returns the
     (h, w) grayscale uint8 frame.
 
-    Real formats first: AVI/RIFF (Motion-JPEG or uncompressed DIB
-    frames) via the from-scratch codec in algorithms/avi.py, and
-    animated GIF via algorithms/gif.py (full-cover opaque frames —
-    everything our encoder writes — stay truly lazy; dependent frames
-    advance a memoized canvas); the FAKEVID container remains for
-    legacy synthetic corpora. Laziness is the point — a sampler
-    keeping every k-th frame never pays the JPEG IDCT / LZW for the
-    other k−1. ValueError on malformed input — the per-row quarantine
-    path."""
+    AVI/RIFF (Motion-JPEG or uncompressed DIB frames) via the
+    from-scratch codec in algorithms/avi.py, and animated GIF via
+    algorithms/gif.py (full-cover opaque frames — everything our
+    encoder writes — stay truly lazy; dependent frames advance a
+    memoized canvas). Laziness is the point — a sampler keeping every
+    k-th frame never pays the JPEG IDCT / LZW for the other k−1.
+    ValueError on malformed or unrecognized input — the per-row
+    quarantine path."""
     from nidaba_ray.algorithms.avi import decode_frame, is_avi, parse_avi
     from nidaba_ray.algorithms.gif import gif_frames, is_gif
     from nidaba_ray.algorithms.png import to_gray
@@ -362,25 +316,14 @@ def iter_video_frames(payload: bytes):
         for idx, thunk in gif_frames(payload):
             yield idx, (lambda thunk=thunk: to_gray(thunk()))
         return
-    if payload[:8] != VID_MAGIC:
-        raise ValueError("not an AVI or FAKEVID payload")
-    (nf,) = struct.unpack("<H", payload[8:10])
-    off = 10
-    for f in range(nf):
-        if off + 12 > len(payload):
-            raise ValueError("truncated FAKEVID frame table")
-        w, h = struct.unpack("<HH", payload[off + 8 : off + 12])
-        size = 12 + w * h
-        chunk = payload[off : off + size]
-        yield f, (lambda chunk=chunk: _decode_fake_img(chunk))
-        off += size
+    raise ValueError("not an AVI or GIF payload")
 
 
 def _is_video_payload(p: bytes) -> bool:
     from nidaba_ray.algorithms.avi import is_avi
     from nidaba_ray.algorithms.gif import gif_n_frames, is_gif
 
-    if p[:8] == VID_MAGIC or is_avi(p):
+    if is_avi(p):
         return True
     if is_gif(p):  # animated GIF is video; a still GIF is an image
         try:  # copy-free walk, early exit at the 2nd descriptor
@@ -655,9 +598,11 @@ def probe_media(payload: bytes) -> dict:
                 body = p[pos + 8:pos + 8 + size]
                 n_frames = int.from_bytes(body[2:6], "big")
                 rate = int(round(_unpack_extended(body[8:18])))
+                if rate <= 0:
+                    raise ValueError("aiff: non-positive sample rate")
                 out.update(container="aiff", kind="audio", codec="pcm",
                            sample_rate=rate, n_units=n_frames,
-                           duration_ms=n_frames * 1000 // max(1, rate))
+                           duration_ms=n_frames * 1000 // rate)
                 return out
             pos += 8 + size + (size % 2)
         raise ValueError("aiff: no COMM chunk")
@@ -668,9 +613,11 @@ def probe_media(payload: bytes) -> dict:
         word = int.from_bytes(si[10:18], "big")
         rate = word >> 44
         total = word & ((1 << 36) - 1)
+        if not rate:
+            raise ValueError("flac: zero sample rate")
         out.update(container="flac", kind="audio", codec="flac",
                    sample_rate=rate, n_units=total,
-                   duration_ms=total * 1000 // max(1, rate))
+                   duration_ms=total * 1000 // rate)
         return out
     if is_avi(p):
         info = {}
@@ -689,21 +636,6 @@ def probe_media(payload: bytes) -> dict:
                    # exact integer µs math — no float in a value the
                    # SQL replay must reproduce
                    duration_ms=n * usec // 1000)
-        return out
-    if p[:8] == IMG_MAGIC:
-        w, h = struct.unpack("<HH", p[8:12])
-        out.update(container="fakeimg", kind="image", codec="fake",
-                   width=w, height=h, n_units=1)
-        return out
-    if p[:8] == AUD_MAGIC:
-        (n,) = struct.unpack("<I", p[8:12])
-        out.update(container="fakeaud", kind="audio", codec="fake",
-                   n_units=n)
-        return out
-    if p[:8] == VID_MAGIC:
-        (n,) = struct.unpack("<H", p[8:10])
-        out.update(container="fakevid", kind="video", codec="fake",
-                   n_units=n)
         return out
     raise ValueError("unrecognized media container")
 

@@ -58,33 +58,41 @@ def _weights_fingerprint() -> str:
     return _sources_md5(_synth, _extract, _segment, _score)
 
 
-def default_weights(train_pages: int = 200) -> np.ndarray:
-    """Deterministic trained weights with a per-user tmpdir cache:
-    training is deterministic, so at most one actor/process per
-    machine pays the 200-page training; everyone else loads the
-    atomically-written cache file. This keeps registry-spawned
-    QualityScorer actors (which get no explicit weights) from each
-    redoing the identical training in ``__init__``."""
+def _cached_weights(name: str, train) -> np.ndarray:
+    """Load ``name`` from the per-user tmpdir weights cache, or call
+    ``train()`` and write its result there atomically (tmp file +
+    ``os.replace``). Training is deterministic, so at most one
+    actor/process per machine pays for it; a torn file left by a
+    crashed process is retrained."""
     import os
     import tempfile
 
     cache_dir = os.path.join(tempfile.gettempdir(),
                              f"nidaba_ray_quality_{os.getuid()}")
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(
-        cache_dir, f"logistic_{_weights_fingerprint()}_p{train_pages}.npy"
-    )
+    path = os.path.join(cache_dir, name)
     if os.path.isfile(path):
         try:
             return np.load(path)
         except (OSError, ValueError):
             pass  # torn write from a crashed process — retrain
-    w = train_logistic(*training_blocks(train_pages))
+    w = train()
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "wb") as f:
         np.save(f, w)
     os.replace(tmp, path)
     return w
+
+
+def default_weights(train_pages: int = 200) -> np.ndarray:
+    """Deterministic weights trained on ``train_pages`` synthetic
+    pages, through the tmpdir cache. This keeps registry-spawned
+    QualityScorer actors (which get no explicit weights) from each
+    redoing the identical training in ``__init__``."""
+    return _cached_weights(
+        f"logistic_{_weights_fingerprint()}_p{train_pages}.npy",
+        lambda: train_logistic(*training_blocks(train_pages)))
+
 
 _KINDS = ("p", "li", "td", "pre", "div")
 
@@ -196,27 +204,10 @@ def _real_weights_fingerprint() -> str:
 
 def real_weights() -> np.ndarray:
     """Deterministic weights trained on the fixture-corpus labels,
-    with the same atomic tmpdir cache as :func:`default_weights`."""
-    import os
-    import tempfile
-
-    cache_dir = os.path.join(tempfile.gettempdir(),
-                             f"nidaba_ray_quality_{os.getuid()}")
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(
-        cache_dir, f"logistic_real_{_real_weights_fingerprint()}.npy"
-    )
-    if os.path.isfile(path):
-        try:
-            return np.load(path)
-        except (OSError, ValueError):
-            pass  # torn write from a crashed process — retrain
-    w = train_logistic(*training_blocks_real())
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as f:
-        np.save(f, w)
-    os.replace(tmp, path)
-    return w
+    through the same tmpdir cache as :func:`default_weights`."""
+    return _cached_weights(
+        f"logistic_real_{_real_weights_fingerprint()}.npy",
+        lambda: train_logistic(*training_blocks_real()))
 
 
 class QualityScorer:

@@ -120,8 +120,8 @@ def test_malformations_raise():
 
 
 def test_multimodal_dispatch_and_synth_rotation():
+    from nidaba_ray.algorithms.wav import is_wav
     from nidaba_ray.stages.multimodal import (
-        AUD_MAGIC,
         AudioFeatures,
         decode_audio,
         synth_media_batch,
@@ -131,7 +131,7 @@ def test_multimodal_dispatch_and_synth_rotation():
     t = synth_media_batch([1, 4, 7, 10, 13, 16, 22])
     payloads = {i: p for i, p in zip([1, 4, 7, 10, 13, 16, 22],
                                      t["payload"].to_pylist())}
-    assert payloads[4][:8] == AUD_MAGIC  # (i//6 and i//12 both even)
+    assert is_wav(payloads[4])  # (i//6 and i//12 both even → 8-bit WAV)
     from nidaba_ray.algorithms.flac import is_flac
 
     assert is_flac(payloads[16])  # (i//12 odd → FLAC since round 5)

@@ -239,20 +239,12 @@ def test_encoder_input_validation():
 # ------------------------------------------------- multimodal stages
 
 def test_iter_video_frames_dispatch():
-    from nidaba_ray.stages.multimodal import (VID_MAGIC,
-                                              iter_video_frames)
+    from nidaba_ray.stages.multimodal import iter_video_frames
 
     fr = _frames(4)
     avi = encode_avi(fr, codec="DIB ")
     got = [t() for _, t in iter_video_frames(avi)]
     np.testing.assert_array_equal(np.stack(got), fr)
-    # legacy FAKEVID container still walks
-    from nidaba_ray.stages.multimodal import _fake_img
-
-    legacy = VID_MAGIC + struct.pack("<H", 2) + b"".join(
-        _fake_img(f"x{f}", 8, 8) for f in range(2))
-    idx = [f for f, _ in iter_video_frames(legacy)]
-    assert idx == [0, 1]
     with pytest.raises(ValueError):
         list(iter_video_frames(b"neither"))
 
@@ -263,10 +255,9 @@ def test_video_stages_over_real_avi():
                                               synth_media_batch)
 
     # video ids (i%3==2) spanning all three wire formats:
-    # 2 → legacy FAKEVID, 5 → AVI-MJPG, 8 → AVI-DIB
+    # 2 → AVI-DIB, 5 → AVI-MJPG, 8 → AVI-DIB
     t = synth_media_batch([2, 5, 8])
-    assert is_avi(t["payload"][1].as_py())
-    assert is_avi(t["payload"][2].as_py())
+    assert all(is_avi(p) for p in t["payload"].to_pylist())
     out = VideoFrameSampler(every=2)(t).to_pylist()
     assert {r["media_id"] for r in out} == {2, 5, 8}
     assert all(r["frame_idx"] % 2 == 0 for r in out)

@@ -138,7 +138,7 @@ def test_max_hamming_bound():
 
 
 def test_over_full_synth_media_corpus(ray_session):
-    """The real media rotation (FAKEIMG/PNG/JPEG/GIF/TIFF/WebP wires):
+    """The media rotation (BMP/PNG/JPEG/GIF/TIFF/WebP wires):
     every image hashes with no errors, and the exact-dup pass is
     group-consistent (same dhash+ahash ⟺ same group)."""
     from nidaba_ray.functions.imagededup import image_hash_table

@@ -139,8 +139,9 @@ def test_decode_image_dispatches_jpeg():
 
 
 def test_media_features_over_real_jpeg_rows(ray_session):
-    """synth_media_batch now carries FAKEIMG/PNG/JPEG thirds; the
-    feature extractor must process all of them without errors."""
+    """synth_media_batch rotates BMP/WebP, PNG, JPEG, GIF and TIFF
+    image wires; the feature extractor must process all of them
+    without errors."""
     import pyarrow as pa
 
     from nidaba_ray.stages.multimodal import (
@@ -148,7 +149,7 @@ def test_media_features_over_real_jpeg_rows(ray_session):
         synth_media_batch,
     )
 
-    ids = list(range(0, 72, 3))  # image ids, all three wire formats
+    ids = list(range(0, 72, 3))  # image ids, every wire format
     t = synth_media_batch(ids)
     assert any(is_jpeg(p) for p in t["payload"].to_pylist())
     out = MediaFeatureExtractor()(t)

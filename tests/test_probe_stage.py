@@ -138,6 +138,90 @@ def test_probe_agrees_with_decoders():
     assert info["n_units"] == len(samples) and info["sample_rate"] == rate
 
 
+def _zero_rate_wav():
+    from nidaba_ray.algorithms.wav import encode_wav
+
+    return encode_wav(np.zeros(64, np.int16), rate=0)
+
+
+def _zero_rate_aiff():
+    from nidaba_ray.algorithms.aiff import encode_aiff
+
+    a = bytearray(encode_aiff(np.zeros(64, np.int16), rate=8000))
+    rate_at = a.index(b"COMM") + 8 + 8  # channels, frames, bits
+    a[rate_at:rate_at + 10] = bytes(10)  # 80-bit extended 0.0
+    return bytes(a)
+
+
+def _zero_rate_flac():
+    from nidaba_ray.algorithms.flac import encode_flac
+
+    return encode_flac(np.zeros(64, np.int16), rate=0)
+
+
+@pytest.mark.parametrize("make", [_zero_rate_wav, _zero_rate_aiff,
+                                  _zero_rate_flac],
+                         ids=["wav", "aiff", "flac"])
+def test_zero_rate_audio_header_is_an_error(make):
+    """A 0 Hz header is malformed in every audio container: the
+    decoder raises, AudioFeatures quarantines the row (a rate-less
+    spectral centroid would land in another unit than its column),
+    and the probe reports the rate rather than some other fault."""
+    from nidaba_ray.stages.multimodal import AudioFeatures, decode_audio
+
+    payload = make()
+    with pytest.raises(ValueError, match="sample rate"):
+        decode_audio(payload)
+    row = AudioFeatures()(pa.table({
+        "media_id": pa.array([0], pa.int64()),
+        "payload": pa.array([payload], pa.binary()),
+    })).to_pylist()[0]
+    assert "sample rate" in row["error"]
+    assert row["spectral_centroid"] == 0.0
+    with pytest.raises(ValueError, match="sample rate"):
+        probe_media(payload)
+
+
+def test_synth_media_corpus_probes_and_decodes():
+    """Every synthetic payload probes with no error, into a container
+    the media_probe oracle emits, with the rollup the oracle replays;
+    and it decodes through the decoder for its kind."""
+    import duckdb
+
+    from nidaba_ray.pipelines.media import (_probe_extra_batch,
+                                            media_probe_sql)
+    from nidaba_ray.stages.multimodal import (decode_audio, decode_image,
+                                              iter_video_frames,
+                                              synth_media_batch)
+
+    ids = list(range(3000))
+    t = synth_media_batch(ids)
+    for i, kind, p in zip(ids, t["kind"].to_pylist(),
+                          t["payload"].to_pylist()):
+        info = probe_media(p)
+        assert info["kind"] == kind, i
+        if kind == "image":
+            assert decode_image(p).shape == (info["height"], info["width"])
+        elif kind == "audio":
+            samples, rate = decode_audio(p)
+            assert (len(samples), rate) == (info["n_units"],
+                                            info["sample_rate"]), i
+        else:
+            assert len([th() for _, th in iter_video_frames(p)]) \
+                == info["n_units"], i
+
+    probed = MediaProbe()(pa.concat_tables([t, _probe_extra_batch(ids)]))
+    assert set(probed["error"].to_pylist()) == {""}
+    got = duckdb.sql("""
+        SELECT container, count(*), sum(width), sum(height), sum(n_units),
+               sum(duration_ms), sum(sample_rate)
+        FROM probed GROUP BY container ORDER BY container""").fetchall()
+    con = duckdb.connect()
+    con.execute("CREATE TABLE documents AS "
+                "SELECT range AS doc_id FROM range(3000)")
+    assert got == con.execute(media_probe_sql()).fetchall()
+
+
 def test_media_triage_example_spec(ray_session):
     """examples/media_triage.yaml: the probe as a compiled spec over a
     mixed media table (mp4 + png + corrupt row)."""

@@ -128,8 +128,8 @@ def test_audio_dsp_features_sine_and_dc():
 
 
 def test_video_frame_sampler():
-    # video ids (i%3==2) across all four wire formats:
-    # 2=FAKEVID, 5=AVI-MJPG, 8=AVI-DIB, 11=animated GIF
+    # video ids (i%3==2) across the three wire formats:
+    # 2=AVI-DIB, 5=AVI-MJPG, 8=AVI-DIB, 11=animated GIF
     t = synth_media_batch([2, 5, 8, 11])
     out = VideoFrameSampler(every=2)(t).to_pylist()
     assert len(out) > 0

@@ -34,7 +34,7 @@ def _media(rows):
 def test_cross_container_exact_group_and_quarantine(ray_session):
     import ray.data as rd
 
-    from nidaba_ray.algorithms.avi import encode_avi
+    from nidaba_ray.algorithms.avi import encode_avi, is_avi
     from nidaba_ray.algorithms.gif import encode_gif
 
     fr = _frames()
@@ -43,8 +43,9 @@ def test_cross_container_exact_group_and_quarantine(ray_session):
         (1, encode_avi(fr, fps=10, codec="DIB ")),
         (2, encode_gif(fr, delay_cs=10)),       # same frames, other wire
         (3, encode_avi(other, fps=10, codec="DIB ")),
-        (4, b"FAKEVID\x00broken"),
+        (4, encode_avi(fr, fps=10, codec="DIB ")[:200]),  # truncated
     ]
+    assert is_avi(rows[3][1])  # sniffs as video, fails to decode
     media = rd.from_arrow(_media(rows))
     groups = video_exact_dup_groups(media).to_pandas()
     gmap = dict(zip(groups["media_id"], groups["group_id"]))

@@ -105,19 +105,20 @@ def test_rms_hand_pin_constant_signal():
 
 
 def test_synth_audio_rows_are_real_wav():
-    """synth_media_batch emits real RIFF/WAVE for half the audio ids
-    and legacy FAKEAUD for the rest; both decode through the same
-    feature stage with no errors."""
+    """synth_media_batch emits int16 RIFF/WAVE for i%6==1 and 8-bit
+    RIFF/WAVE for the ids no AIFF/FLAC slot takes; both decode through
+    the same feature stage with no errors."""
     from nidaba_ray.stages.multimodal import (
-        AUD_MAGIC,
         AudioFeatures,
+        decode_audio,
         synth_media_batch,
     )
 
     t = synth_media_batch([1, 4, 7, 10, 13])  # audio ids (i%3==1)
     payloads = t["payload"].to_pylist()
     assert is_wav(payloads[0]) and is_wav(payloads[2])      # 1, 7
-    assert payloads[1][:8] == AUD_MAGIC                      # 4
+    assert is_wav(payloads[1])                               # 4: 8-bit
+    assert decode_audio(payloads[1])[1] == 12000
     out = AudioFeatures()(t).to_pylist()
     assert all(r["error"] == "" and r["n_samples"] > 0 and r["rms"] > 0
                for r in out)

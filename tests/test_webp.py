@@ -274,17 +274,16 @@ def test_hand_built_max_symbol_cutoff():
 
 def test_multimodal_dispatch_and_synth_rotation():
     from nidaba_ray.stages.multimodal import (
-        IMG_MAGIC,
         ImageDecoder,
         decode_image,
         synth_media_batch,
     )
 
-    # FAKEIMG slot ids: i%3==0, (i//3)%5==0 → 0, 15, 30, 45; odd
-    # (i//15) halves are WebP now
+    # BMP/WebP slot ids: i%3==0, (i//3)%5==0 → 0, 15, 30, 45; odd
+    # (i//15) halves are WebP, even halves BMP
     t = synth_media_batch([0, 15, 30, 45])
     p = t["payload"].to_pylist()
-    assert p[0][:8] == IMG_MAGIC and p[2][:8] == IMG_MAGIC
+    assert p[0][:2] == b"BM" and p[2][:2] == b"BM"
     assert is_webp(p[1]) and is_webp(p[3])
     out = ImageDecoder()(t).to_pylist()
     assert all(r["error"] == "" for r in out)
