@@ -31,18 +31,24 @@ from nidaba_ray.stages.spell import SpellFilter
 __all__ = ["extract_pipeline", "read_pages", "FusedExtract", "PAGES_COLUMNS"]
 
 # the extraction actor pool's shape, shared by extract_pipeline and the
-# registry's extract.text stage: ``batch_size`` is small on purpose
-# (``html`` is a wide binary column, and batch × concurrency must fit
-# worker heaps, SURVEY.md §4.2); ``concurrency`` stays an autoscaling
-# tuple ``(1, max)`` — a fixed-size pool whose CPU demand plus the read
-# stage exceeds the cluster CPUs livelocks the streaming executor
-POOL = {"batch_size": 64, "concurrency": (1, 8), "num_cpus": 1}
+# registry's extract.text stage. ``batch_size`` is in rows and only
+# amortizes Ray's fixed cost per batch (batcher, task hop, object-store
+# put); ``MAX_BATCH_BYTES``, not the row count, bounds an actor's heap.
+# 64-row batches of ~1.5 kB pages delivered ~0.75x the docs/s of 1024 on
+# one core. Ray collects a whole bundle before the call, so its bytes
+# must fit the operator's share of the object store: on a 256 MiB store,
+# 1024 rows of ~40 kB pages (~48 MB) stall the read ~10x.
+# ``concurrency`` stays an autoscaling tuple ``(1, max)`` — a fixed-size
+# pool whose CPU demand plus the read stage exceeds the cluster CPUs
+# livelocks the streaming executor
+POOL = {"batch_size": 1024, "concurrency": (1, 8), "num_cpus": 1}
 
-# Batch size is in ROWS, but a few multi-MB pages can blow the
-# per-batch byte budget regardless of row count (SURVEY.md §7 hard
-# parts): a batch above this many bytes is halved recursively and the
-# slices run in turn, bounding peak heap per actor.
-MAX_BATCH_BYTES = 64 << 20
+# The per-call heap bound (SURVEY.md §7 hard parts): a batch above this
+# many bytes is halved recursively and the slices run in turn, whatever
+# its row count. One 1024-row call over 42 MB of ~41 kB pages grows RSS
+# by ~125 MB at this cap (most of it the call's own output), ~390 MB
+# at 64 MiB.
+MAX_BATCH_BYTES = 8 << 20
 
 
 class FusedExtract:
@@ -66,11 +72,16 @@ class FusedExtract:
         self._spell = SpellFilter() if spell else None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        # the halves recurse through _extract, never through __call__:
+        # map_batches runs an actor's __call__ on a one-thread executor,
+        # so a re-entrant call would wait on itself forever
+        return self._extract(batch)
+
+    def _extract(self, batch: pa.Table) -> pa.Table:
         if batch.nbytes > MAX_BATCH_BYTES and batch.num_rows > 1:
             mid = batch.num_rows // 2
-            return pa.concat_tables(
-                [self(batch.slice(0, mid)), self(batch.slice(mid))]
-            )
+            return pa.concat_tables([self._extract(batch.slice(0, mid)),
+                                     self._extract(batch.slice(mid))])
         out = merge.vote_columns(*extract_columns(batch))
         return self._spell(out) if self._spell else out
 
@@ -93,8 +104,9 @@ def extract_pipeline(
 ) -> rd.Dataset:
     """pages Dataset → extracted Dataset (lazy): one ``FusedExtract``
     actor pool; ``spell=False`` leaves out the spell annotation
-    columns. The two sizes default to ``POOL``'s, whose comment says
-    how to choose them."""
+    columns. The two sizes default to ``POOL``'s: rows per call only
+    amortize Ray's per-batch cost, and heap is bounded by bytes
+    (``MAX_BATCH_BYTES``) whatever the row count."""
     return pages.map_batches(
         FusedExtract,
         fn_constructor_kwargs={"spell": spell},

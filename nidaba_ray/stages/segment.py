@@ -60,6 +60,7 @@ the same one.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from html import unescape
 from html.parser import HTMLParser
 
@@ -170,16 +171,26 @@ class Block:
         self.n_tags = 0
 
 
+# a stack at most this deep is scanned for an end tag's match
+_SCAN_DEPTH = 32
+
+
 class BlockMachine:
     """The shared stack machine: ``start``/``end``/``data`` events in,
     reading-order blocks out. Both parse fronts drive this one class —
     block semantics cannot diverge between them."""
 
     __slots__ = ("stack", "skip_flags", "chrome_flags", "blocks", "cur",
-                 "cur_parts", "skip_depth", "chrome_depth", "anchor_depth")
+                 "cur_parts", "skip_depth", "chrome_depth", "anchor_depth",
+                 "n_open")
 
     def __init__(self) -> None:
         self.stack: list[str] = []
+        # per-tag count of ``stack``, kept from the first time the stack
+        # grows deeper than _SCAN_DEPTH: "is it open?" is then O(1), so an
+        # end tag costs O(1) amortized at any nesting depth, and the
+        # shallow stacks of ordinary pages skip the bookkeeping
+        self.n_open: Counter[str] | None = None
         self.skip_flags: list[bool] = []
         self.chrome_flags: list[bool] = []
         self.blocks: list[Block] = []
@@ -228,6 +239,10 @@ class BlockMachine:
         elif self.cur is not None:
             self.cur.n_tags += 1
         self.stack.append(tag)
+        if self.n_open is not None:
+            self.n_open[tag] += 1
+        elif len(self.stack) > _SCAN_DEPTH:
+            self.n_open = Counter(self.stack)
         self.skip_flags.append(skip_inc)
         self.chrome_flags.append(chrome_inc)
 
@@ -235,9 +250,12 @@ class BlockMachine:
         if tag in VOID_TAGS:
             return
         # lenient: pop to the nearest matching open tag (tag soup safe)
-        if tag in self.stack:
+        n_open = self.n_open
+        if (tag in self.stack) if n_open is None else n_open[tag]:
             while self.stack:
                 t = self.stack.pop()
+                if n_open is not None:
+                    n_open[t] -= 1
                 if self.skip_flags.pop():
                     self.skip_depth = max(0, self.skip_depth - 1)
                 if self.chrome_flags.pop():

@@ -5,6 +5,7 @@ can construct — this is the determinism gate for swapping parsers
 
 import random
 import string
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -154,3 +155,44 @@ def test_arbitrary_text_equivalence(text):
 ])
 def test_known_edge_cases(html):
     assert_same(html)
+
+
+HOSTILE = [
+    lambda n: "<b>" * n + "</i>" * n,          # unmatched end tags, deep stack
+    lambda n: "<span>" * n + "<p>t</p>" * n,   # matches on top of a deep stack
+]
+
+
+def _min_of_3(fn, html):
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        fn(html)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@pytest.mark.parametrize("shape", HOSTILE, ids=["unmatched_end", "deep_open"])
+@pytest.mark.parametrize("fn", [segment_html, segment_html_stdlib])
+def test_hostile_nesting_is_linear(fn, shape):
+    # "is this tag open?" must not scan the stack: 8× the input may cost
+    # ~8× the time; a scan is quadratic in depth and costs ~64×
+    assert_same(shape(500))
+    ratio = _min_of_3(fn, shape(16_000)) / _min_of_3(fn, shape(2_000))
+    assert ratio < 20, ratio
+
+
+def test_open_tag_count_matches_stack_scan(monkeypatch):
+    # "is this tag open?" is a scan on a shallow stack and a count on a
+    # deep one; forcing either answer everywhere gives the same blocks
+    rng = random.Random(13)
+    pages = ["<div>" * 40 + "".join(rng.choice(FRAGS)
+                                    for _ in range(rng.randint(2, 50)))
+             for _ in range(400)]
+    pages += [shape(100) for shape in HOSTILE]
+    pages += synth_pages()
+    runs = []
+    for depth in (0, 1 << 30):
+        monkeypatch.setattr(segment, "_SCAN_DEPTH", depth)
+        runs.append([tup(segment_html(html)) for html in pages])
+    assert runs[0] == runs[1]

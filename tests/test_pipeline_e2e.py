@@ -2,6 +2,7 @@
 frozen goldens, quarantine semantics, determinism across runs
 (FIXTURES.md F1; SURVEY.md §5.2 items 1/3)."""
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -92,3 +93,29 @@ def test_e2e_deterministic_across_runs(ray_session, pages_parquet):
     ka = dict(zip(zip(a["url"], a["warc_ts"]), a["text"]))
     kb = dict(zip(zip(b["url"], b["warc_ts"]), b["text"]))
     assert ka == kb
+
+
+def test_default_pool_shape_equals_in_process(ray_session, tmp_path):
+    """``extract_pipeline`` with no size arguments: Ray bundles several
+    read blocks into each ``POOL`` batch and concatenates them; the
+    rows must equal one in-process ``FusedExtract`` pass."""
+    import ray.data as rd
+
+    from nidaba_ray.pipelines.extract import FusedExtract
+
+    t = synth.pages_table(n=1200).drop_columns(["golden", "doc_id"])
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(t, path)
+    pages = rd.read_parquet(path, override_num_blocks=12).materialize()
+    assert pages.num_blocks() >= 12
+    out = extract_pipeline(pages).materialize()
+    assert out.num_blocks() < pages.num_blocks()  # bundles span blocks
+
+    keys = [("url", "ascending"), ("warc_ts", "ascending")]
+    got = pa.concat_tables(
+        out.iter_batches(batch_size=None, batch_format="pyarrow")
+    ).sort_by(keys)
+    want = FusedExtract()(t).sort_by(keys)
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        assert got[name].to_pylist() == want[name].to_pylist(), name
