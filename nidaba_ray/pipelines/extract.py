@@ -31,23 +31,31 @@ from nidaba_ray.stages.spell import SpellFilter
 __all__ = ["extract_pipeline", "read_pages", "FusedExtract", "PAGES_COLUMNS"]
 
 # the extraction actor pool's shape, shared by extract_pipeline and the
-# registry's extract.text stage. ``batch_size`` is in rows and only
-# amortizes Ray's fixed cost per batch (batcher, task hop, object-store
-# put); ``MAX_BATCH_BYTES``, not the row count, bounds an actor's heap.
-# 64-row batches of ~1.5 kB pages delivered ~0.75x the docs/s of 1024 on
-# one core. Ray collects a whole bundle before the call, so its bytes
-# must fit the operator's share of the object store: on a 256 MiB store,
-# 1024 rows of ~40 kB pages (~48 MB) stall the read ~10x.
-# ``concurrency`` stays an autoscaling tuple ``(1, max)`` — a fixed-size
-# pool whose CPU demand plus the read stage exceeds the cluster CPUs
-# livelocks the streaming executor
-POOL = {"batch_size": 1024, "concurrency": (1, 8), "num_cpus": 1}
+# registry's extract.text stage. ``batch_size`` is in rows, and rows
+# trade three things: each batch pays a fixed Ray cost (batcher, task
+# hop, object-store put); smaller batches spread the rows more evenly
+# over several actors; and Ray holds a whole bundle in the object store
+# and in the actor before the call, while the call's output (~2x the
+# ``html``) is held until it returns, so both grow with rows x page
+# bytes. 64 rows keep a batch of multi-MB pages inside worker heaps
+# (SURVEY.md §4.2). ``concurrency`` stays an autoscaling tuple
+# ``(1, max)`` — a fixed-size pool whose CPU demand plus the read stage
+# exceeds the cluster CPUs livelocks the streaming executor
+POOL = {"batch_size": 64, "concurrency": (1, 8), "num_cpus": 1}
 
-# The per-call heap bound (SURVEY.md §7 hard parts): a batch above this
-# many bytes is halved recursively and the slices run in turn, whatever
-# its row count. One 1024-row call over 42 MB of ~41 kB pages grows RSS
-# by ~125 MB at this cap (most of it the call's own output), ~390 MB
-# at 64 MiB.
+# extract_pipeline's rows per batch when the pool is one actor wide:
+# there is no load to balance, and on one core 1024-row batches of
+# ~1.5 kB pages delivered 1.3-1.4x the docs/s of 64-row ones. The
+# bundle's bytes still grow with its rows: on a 256 MiB object store,
+# 1024 rows of ~40 kB pages (~48 MB) stall the read ~10x, so pass a
+# smaller ``extract_batch_size`` for wide pages.
+SOLO_BATCH_SIZE = 1024
+
+# The per-slice heap bound (SURVEY.md §7 hard parts): a batch above
+# this many bytes is halved recursively and the slices run in turn. It
+# bounds the parse's working set, not the input or the output: one
+# call over 1024 ~41 kB pages (40 MB of ``html``) grows RSS by its
+# 86 MB of output plus ~40 MB at this cap, plus ~300 MB at 64 MiB.
 MAX_BATCH_BYTES = 8 << 20
 
 
@@ -99,14 +107,18 @@ def extract_pipeline(
     pages: rd.Dataset,
     *,
     spell: bool = True,
-    extract_batch_size: int = POOL["batch_size"],
+    extract_batch_size: int | None = None,
     extract_concurrency: Any = POOL["concurrency"],
 ) -> rd.Dataset:
     """pages Dataset → extracted Dataset (lazy): one ``FusedExtract``
     actor pool; ``spell=False`` leaves out the spell annotation
-    columns. The two sizes default to ``POOL``'s: rows per call only
-    amortize Ray's per-batch cost, and heap is bounded by bytes
-    (``MAX_BATCH_BYTES``) whatever the row count."""
+    columns. ``extract_concurrency`` defaults to ``POOL``'s, and
+    ``extract_batch_size`` to ``SOLO_BATCH_SIZE`` when the pool is one
+    actor wide, else to ``POOL``'s; their comments say how to choose."""
+    if extract_batch_size is None:
+        width = (extract_concurrency[1] if isinstance(extract_concurrency, tuple)
+                 else extract_concurrency)
+        extract_batch_size = SOLO_BATCH_SIZE if width == 1 else POOL["batch_size"]
     return pages.map_batches(
         FusedExtract,
         fn_constructor_kwargs={"spell": spell},

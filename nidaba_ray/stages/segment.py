@@ -60,7 +60,6 @@ the same one.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from html import unescape
 from html.parser import HTMLParser
 
@@ -171,10 +170,6 @@ class Block:
         self.n_tags = 0
 
 
-# a stack at most this deep is scanned for an end tag's match
-_SCAN_DEPTH = 32
-
-
 class BlockMachine:
     """The shared stack machine: ``start``/``end``/``data`` events in,
     reading-order blocks out. Both parse fronts drive this one class —
@@ -186,11 +181,9 @@ class BlockMachine:
 
     def __init__(self) -> None:
         self.stack: list[str] = []
-        # per-tag count of ``stack``, kept from the first time the stack
-        # grows deeper than _SCAN_DEPTH: "is it open?" is then O(1), so an
-        # end tag costs O(1) amortized at any nesting depth, and the
-        # shallow stacks of ordinary pages skip the bookkeeping
-        self.n_open: Counter[str] | None = None
+        # per-tag count of ``stack``: "is it open?" is O(1), so an end
+        # tag costs O(1) amortized at any nesting depth
+        self.n_open: dict[str, int] = {}
         self.skip_flags: list[bool] = []
         self.chrome_flags: list[bool] = []
         self.blocks: list[Block] = []
@@ -239,10 +232,8 @@ class BlockMachine:
         elif self.cur is not None:
             self.cur.n_tags += 1
         self.stack.append(tag)
-        if self.n_open is not None:
-            self.n_open[tag] += 1
-        elif len(self.stack) > _SCAN_DEPTH:
-            self.n_open = Counter(self.stack)
+        n_open = self.n_open
+        n_open[tag] = n_open.get(tag, 0) + 1
         self.skip_flags.append(skip_inc)
         self.chrome_flags.append(chrome_inc)
 
@@ -251,11 +242,10 @@ class BlockMachine:
             return
         # lenient: pop to the nearest matching open tag (tag soup safe)
         n_open = self.n_open
-        if (tag in self.stack) if n_open is None else n_open[tag]:
+        if n_open.get(tag):
             while self.stack:
                 t = self.stack.pop()
-                if n_open is not None:
-                    n_open[t] -= 1
+                n_open[t] -= 1
                 if self.skip_flags.pop():
                     self.skip_depth = max(0, self.skip_depth - 1)
                 if self.chrome_flags.pop():

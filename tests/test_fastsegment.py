@@ -6,6 +6,7 @@ can construct — this is the determinism gate for swapping parsers
 import random
 import string
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -182,17 +183,30 @@ def test_hostile_nesting_is_linear(fn, shape):
     assert ratio < 20, ratio
 
 
-def test_open_tag_count_matches_stack_scan(monkeypatch):
-    # "is this tag open?" is a scan on a shallow stack and a count on a
-    # deep one; forcing either answer everywhere gives the same blocks
+class _CheckedMachine(segment.BlockMachine):
+    """Asserts after every event that the per-tag open count is the
+    open-tag stack's contents."""
+
+    __slots__ = ()
+
+    def start(self, tag, attrs=()):
+        super().start(tag, attrs)
+        assert +Counter(self.n_open) == Counter(self.stack), tag
+
+    def end(self, tag):
+        super().end(tag)
+        assert +Counter(self.n_open) == Counter(self.stack), tag
+
+
+def test_open_tag_count_tracks_the_stack(monkeypatch):
+    # "is this tag open?" reads the count, not the stack; a count that
+    # drifts from the stack turns a stray end tag into a pop-to-empty,
+    # which both fronts would share, so the equivalence tests miss it
+    monkeypatch.setattr(segment, "BlockMachine", _CheckedMachine)
     rng = random.Random(13)
-    pages = ["<div>" * 40 + "".join(rng.choice(FRAGS)
-                                    for _ in range(rng.randint(2, 50)))
-             for _ in range(400)]
-    pages += [shape(100) for shape in HOSTILE]
-    pages += synth_pages()
-    runs = []
-    for depth in (0, 1 << 30):
-        monkeypatch.setattr(segment, "_SCAN_DEPTH", depth)
-        runs.append([tup(segment_html(html)) for html in pages])
-    assert runs[0] == runs[1]
+    pages = ["".join(rng.choice(FRAGS) for _ in range(rng.randint(2, 50)))
+             for _ in range(2000)]
+    pages += [shape(50) for shape in HOSTILE] + synth_pages()
+    for html in pages:
+        segment_html(html)
+        segment_html_stdlib(html)

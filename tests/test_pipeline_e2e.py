@@ -95,10 +95,14 @@ def test_e2e_deterministic_across_runs(ray_session, pages_parquet):
     assert ka == kb
 
 
-def test_default_pool_shape_equals_in_process(ray_session, tmp_path):
-    """``extract_pipeline`` with no size arguments: Ray bundles several
-    read blocks into each ``POOL`` batch and concatenates them; the
-    rows must equal one in-process ``FusedExtract`` pass."""
+@pytest.mark.parametrize("kwargs", [{}, {"extract_concurrency": 1}],
+                         ids=["pool", "one_actor"])
+def test_default_batch_size_equals_in_process(ray_session, tmp_path, kwargs):
+    """``extract_pipeline`` with no batch size, over ~50-row read
+    blocks: Ray bundles several blocks into each of the pool's 64-row
+    batches and each of a one-actor pool's 1024-row batches and
+    concatenates them; the rows must equal one in-process
+    ``FusedExtract`` pass."""
     import ray.data as rd
 
     from nidaba_ray.pipelines.extract import FusedExtract
@@ -106,9 +110,9 @@ def test_default_pool_shape_equals_in_process(ray_session, tmp_path):
     t = synth.pages_table(n=1200).drop_columns(["golden", "doc_id"])
     path = str(tmp_path / "pages.parquet")
     pq.write_table(t, path)
-    pages = rd.read_parquet(path, override_num_blocks=12).materialize()
-    assert pages.num_blocks() >= 12
-    out = extract_pipeline(pages).materialize()
+    pages = rd.read_parquet(path, override_num_blocks=24).materialize()
+    assert pages.num_blocks() >= 24
+    out = extract_pipeline(pages, **kwargs).materialize()
     assert out.num_blocks() < pages.num_blocks()  # bundles span blocks
 
     keys = [("url", "ascending"), ("warc_ts", "ascending")]

@@ -8,6 +8,7 @@ import sys
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from nidaba_ray import synth
 from nidaba_ray.pipelines import extract as extract_mod
@@ -71,15 +72,15 @@ def test_big_payload_pipeline(ray_session, tmp_path):
     assert got == want
 
 
-# one FusedExtract call over a 1024-row bundle of ~40 kB pages, in a
-# fresh process so ru_maxrss is this call's peak, not the suite's
+# one FusedExtract call over ROWS ~40 kB pages, in a fresh process so
+# ru_maxrss is this call's peak, not the suite's
 _HEAP_PROBE = """
-import json, resource
+import json, resource, sys
 import pyarrow as pa
 from nidaba_ray import synth
 from nidaba_ray.pipelines.extract import FusedExtract
 
-ROWS = 1024
+ROWS = int(sys.argv[1])
 vocab = [f"w{j}" for j in range(997)]
 
 def page(i):  # ~40 kB of templated HTML
@@ -101,19 +102,22 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 out = fused(batch)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"rows": out.num_rows, "html_bytes": html.nbytes,
+                  "out_mb": out.nbytes / 2**20,
                   "growth_mb": (after - before) / 1024}))
 """
 
 
-def test_byte_cap_bounds_heap_whatever_the_row_count():
-    # rows only amortize Ray's per-batch cost; MAX_BATCH_BYTES is what
-    # bounds an extraction call's heap
+@pytest.mark.parametrize("rows", [1024, 2048])
+def test_byte_cap_bounds_slice_working_set(rows):
+    # a call's output (~2x its html) is held until it returns, so it
+    # grows with rows x page bytes; what MAX_BATCH_BYTES bounds is the
+    # heap above that output, the same at either row count
     out = subprocess.run(
-        [sys.executable, "-c", _HEAP_PROBE],
+        [sys.executable, "-c", _HEAP_PROBE, str(rows)],
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr[-500:]
     got = json.loads(out.stdout.strip().splitlines()[-1])
-    assert got["rows"] == 1024 and got["html_bytes"] >= 32 << 20
-    assert got["growth_mb"] < 160, got
+    assert got["rows"] == rows and got["html_bytes"] >= rows * 32 << 10
+    assert got["growth_mb"] - got["out_mb"] < 80, got
