@@ -152,9 +152,8 @@ def _read_ifd(data: bytes, bo: str, page: int = 0):
 
 def read_ifd_at(data: bytes, bo: str, off: int):
     """IFD at an explicit offset → the same {tag: (type, count,
-    values_or_raw)} mapping — shared with the EXIF harvester, whose
-    sub-IFD pointers (ExifIFD, GPSIFD) are offsets into the same TIFF
-    blob rather than members of the page chain."""
+    values_or_raw)} mapping; ``_read_ifd`` finds a page's offset on
+    the IFD chain first."""
     (n_entries,) = struct.unpack(bo + "H", data[off:off + 2])
     tags = {}
     pos = off + 2

@@ -1,5 +1,5 @@
-"""Generic 64-bit-fingerprint dedup machinery — shared by the image
-(dHash/aHash) and audio (energy/spectral) perceptual dedup families.
+"""Generic 64-bit-fingerprint dedup machinery for the image
+(dHash/aHash) perceptual dedup in functions/imagededup.py.
 
 * ``exact_dup_groups``: narrow groupby on the hash columns, group_id
   = min id (total order), payload never shuffles; the per-item result

@@ -20,8 +20,7 @@ Scale notes (100 TB shape):
   chunk value and pixels/payloads never shuffle
 * the pigeonhole ≡ brute-force equivalence is pinned in
   tests/test_imagededup.py (the simhash precedent); the generic
-  exact/near machinery lives in functions/hammingdedup.py, shared
-  with the audio fingerprints
+  exact/near machinery lives in functions/hammingdedup.py
 """
 
 from __future__ import annotations

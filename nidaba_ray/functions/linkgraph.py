@@ -2,15 +2,14 @@
 step between crawling and ranking: harvest ``<a href>`` edges with
 their anchor text, then aggregate page edges into a host graph.
 
-Contract kept deliberately regex-expressible (the imgtext.py
-precedent) so DuckDB replays it byte-for-byte: one RE2 pattern finds
-anchor elements and captures the quoted href plus the inner markup;
-anchor TEXT is the inner markup with tags stripped and ASCII
-whitespace collapsed (explicit ``[ \\t\\n\\f\\r]`` classes — never
-``\\s``, whose Python-unicode semantics diverge from RE2). Unquoted
-hrefs are skipped (delimiter-ambiguous grammar, same call as
-imgtext). Pages decode latin-1 (lossless byte→char; tag syntax is
-ASCII and encoding-proof).
+Contract kept deliberately regex-expressible so DuckDB replays it
+byte-for-byte: one RE2 pattern finds anchor elements and captures the
+quoted href plus the inner markup; anchor TEXT is the inner markup
+with tags stripped and ASCII whitespace collapsed (explicit
+``[ \\t\\n\\f\\r]`` classes — never ``\\s``, whose Python-unicode
+semantics diverge from RE2). Unquoted hrefs are skipped (their grammar
+has no unambiguous delimiter). Pages decode latin-1 (lossless
+byte→char; tag syntax is ASCII and encoding-proof).
 
 Host resolution: absolute (``http://``, ``https://``, protocol-
 relative ``//``) hrefs yield their authority, ASCII-case-folded (the
@@ -220,9 +219,10 @@ def _sql_quote(p: str) -> str:
 
 def page_links_sql(table: str = "pages", html_col: str = "html",
                    key_col: str = "url") -> str:
-    """DuckDB replay built from the SAME patterns (positional capture
-    binding, the imgtext lesson). ``html_col`` must be VARCHAR on the
-    SQL side; parity tests feed both engines the same strings."""
+    """DuckDB replay built from the SAME patterns (regexp_extract's
+    name list binds captures by position, so no pattern rewrite).
+    ``html_col`` must be VARCHAR on the SQL side; parity tests feed
+    both engines the same strings."""
     link_p = _sql_quote(LINK_PATTERN)
     host_p = _sql_quote(HOST_PATTERN)
     return f"""

@@ -3,7 +3,7 @@ link and OpenGraph title/description per page: the fields a corpus
 index keeps beside the extracted text (search snippets, canonical-URL
 dedup hints, social previews).
 
-Parity contract (the imgtext/linkgraph idiom): every pattern is RE2
+Parity contract (the linkgraph idiom): every pattern is RE2
 and IDENTICAL bytes on both engines; DuckDB replays the harvest with
 regexp_extract(_all) over the same strings. Values keep their raw
 entity encoding (both engines see the same bytes — decoding is the
@@ -119,7 +119,8 @@ def page_meta_sql(table: str = "pages", html_col: str = "html",
                   key_col: str = "url") -> str:
     """DuckDB replay from the SAME pattern bytes. First-match-wins
     replays as list_filter + [1]; the two-alternative quoted capture
-    binds positionally (the imgtext lesson)."""
+    binds positionally (DuckDB's regexp_extract name list binds by
+    position, so the pattern needs no rewrite)."""
     def pick(tag_pat: str, name_pat: str, attr_pat: str) -> str:
         # [1] on the filtered tag list is order-guaranteed (unlike a
         # bare LIMIT); COALESCE covers the no-matching-tag NULL

@@ -23,8 +23,8 @@ Extraction semantics (deterministic, pinned in tests/test_feeds.py):
   dialect (stages/extract.py ``_extract_plain_text``).
 
 Everything is compiled-regex over the decoded text (one compile at
-import, RE2-compatible patterns — the sitemap.py idiom); no state, no
-shuffle; the stage runs inside the existing extraction actor pool.
+import, RE2-compatible patterns that DuckDB could replay); no state,
+no shuffle; the stage runs inside the existing extraction actor pool.
 """
 
 from __future__ import annotations

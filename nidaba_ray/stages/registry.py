@@ -200,15 +200,9 @@ def _ensure_builtin() -> None:
     from nidaba_ray.functions.mojibake import mojibake_fix_batch
 
     register_stage("clean.mojibake")(mojibake_fix_batch)
-    from nidaba_ray.functions.typography import typography_batch
-
-    register_stage("clean.typography")(typography_batch)
     from nidaba_ray.functions.pagemeta import page_meta_batch
 
     register_stage("extract.meta")(page_meta_batch)
-    from nidaba_ray.functions.dehyphen import dehyphenate_batch
-
-    register_stage("clean.dehyphenate")(dehyphenate_batch)
     from nidaba_ray.functions.urls import url_dedup_stage
 
     # the first dataset-level stage: a grouped global dedup, not a
@@ -227,9 +221,6 @@ def _ensure_builtin() -> None:
     from nidaba_ray.functions.robots import robots_filter_batch
 
     register_stage("clean.robots")(robots_filter_batch)
-    from nidaba_ray.functions.imgtext import harvest_img_batch
-
-    register_stage("extract.imgtext")(harvest_img_batch)
     from nidaba_ray.functions.langseg import lang_segment_batch
 
     register_stage("clean.langseg")(lang_segment_batch)

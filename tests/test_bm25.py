@@ -99,52 +99,3 @@ def test_bm25_hand_reference(ray_session, tmp_path):
     want = con.execute(bm25_sql({"q": "cat"}, 3)).df()
     pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
 
-
-# ---------------------------------------------------------------------------
-# Reciprocal-rank fusion / hybrid retrieval (functions/rrf.py)
-# ---------------------------------------------------------------------------
-
-def test_rrf_hand_reference():
-    from nidaba_ray.functions.rrf import RRF_K, RRF_SCALE, rrf_fuse
-
-    a = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
-                  "rank": pa.array([1, 2, 3], pa.int64())})
-    b = pa.table({"doc_id": pa.array([3, 1], pa.int64()),
-                  "rank": pa.array([1, 2], pa.int64())})
-    got = rrf_fuse([a, b], topk=3).to_pandas()
-    s = {
-        1: RRF_SCALE // (RRF_K + 1) + RRF_SCALE // (RRF_K + 2),
-        2: RRF_SCALE // (RRF_K + 2),
-        3: RRF_SCALE // (RRF_K + 3) + RRF_SCALE // (RRF_K + 1),
-    }
-    expect = sorted(s.items(), key=lambda x: (-x[1], x[0]))
-    assert list(map(tuple, got[["doc_id", "fused_micro"]].values)) \
-        == expect
-    assert got["rank"].tolist() == [1, 2, 3]
-
-
-def test_hybrid_duckdb_parity(ray_session):
-    """Sparse BM25 + dense cosine + integer RRF, replayed end to end
-    in ONE DuckDB query."""
-    from nidaba_ray.functions.rrf import hybrid_sql, hybrid_topk
-
-    got = hybrid_topk(SF).to_pandas()
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
-                f"'{SF}/documents.parquet'")
-    con.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
-                f"'{SF}/embeddings.parquet'")
-    want = con.execute(hybrid_sql()).df()
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-    assert len(got) == 10
-    # both sides actually contribute: fused top-10 must contain a doc
-    # from each single-modality top-20
-    from nidaba_ray.functions.ann import ann_topk_bruteforce
-    from nidaba_ray.functions.bm25 import bm25_topk
-
-    sp = bm25_topk(SF, k=20).to_pandas()
-    sp = set(sp[sp["qid"] == "q_join"]["doc_id"])
-    dn = set(ann_topk_bruteforce(SF, k=20, query_vec_id=0)
-             .to_pandas()["vec_id"].astype(int))
-    fused = set(got["doc_id"])
-    assert fused & sp and fused & dn

@@ -92,13 +92,6 @@ def test_truncated_and_corrupt_quarantine(codec):
         assert extract_row(bad) == ("invalid", [], f"{codec}: corrupt stream")
 
 
-def test_sitemap_gzip_bomb_raises():
-    from nidaba_ray.functions.sitemap import parse_sitemap
-
-    with pytest.raises(ValueError, match="exceeds cap"):
-        parse_sitemap(gzip.compress(bytes(MAX_INFLATED_BYTES + 1), mtime=0))
-
-
 def test_zlib_stream_keeps_one_shot_semantics(monkeypatch):
     # PDF FlateDecode: one zlib stream, as zlib.decompress reads it
     body = zlib.compress(b"x" * 100)

@@ -75,8 +75,8 @@ def test_links_duckdb_parity_crafted():
 
 def test_links_duckdb_parity_fixture_corpus():
     """Every hand-authored fixture page (nav-heavy, entity-rich)
-    through both engines — the imgtext fixture-parity idiom. Fixture
-    html is str; feed identical latin-1-roundtripped strings."""
+    through both engines. Fixture html is str; feed identical
+    latin-1-roundtripped strings."""
     from nidaba_ray.realpages import FIXTURES
 
     pages = pa.table({

@@ -1,9 +1,11 @@
 """Keeps the direction-6 audit honest without a Ray session: the
-README module table lists exactly the modules on disk, every operator
-the queries() docstring names as off-surface still exists, and every
+README module table lists exactly the modules on disk, no module it
+marks "tests only" is imported by a surface, every operator the
+queries() docstring names as off-surface still exists, and every
 example spec names registered stages with arguments they accept."""
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -13,21 +15,77 @@ import __ray_entry__
 from nidaba_ray.stages import registry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PKG = ROOT / "nidaba_ray"
+
+
+def _audit_rows() -> dict[str, list[str]]:
+    """module → its five mark cells, as the README table has them."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Module audit\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|(.*)\|$", section, flags=re.M)
+    assert len(rows) == len({m for m, _ in rows}), "duplicate audit rows"
+    return {m: [c.strip() for c in cells.split("|")] for m, cells in rows}
+
+
+def _imports(path: pathlib.Path, skip_fn: str | None = None) -> set[pathlib.Path]:
+    """Files under nidaba_ray/ that ``path`` imports, at module or
+    function level (packages count through their ``__init__``), leaving
+    out the body of the function named ``skip_fn``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = {id(n) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == skip_fn
+               for n in ast.walk(f)}
+    names = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    out = set()
+    for name in names:
+        parts = name.split(".")
+        if parts[0] != "nidaba_ray":
+            continue
+        for i in range(1, len(parts) + 1):
+            base = PKG.joinpath(*parts[1:i])
+            out |= {f for f in (base.with_suffix(".py"), base / "__init__.py")
+                    if f.is_file()}
+    return out
 
 
 def test_readme_audit_rows_match_modules():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Module audit\n", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    rows = _audit_rows()
     on_disk = {
-        p.relative_to(ROOT / "nidaba_ray").as_posix()
-        for p in (ROOT / "nidaba_ray").rglob("*.py")
+        p.relative_to(PKG).as_posix()
+        for p in PKG.rglob("*.py")
         if p.name != "__init__.py"
     }
-    assert len(rows) == len(set(rows)), "duplicate audit rows"
     assert set(rows) == on_disk, (
         f"missing: {sorted(on_disk - set(rows))}, "
         f"stale: {sorted(set(rows) - on_disk)}")
+    assert all(len(cells) == 5 for cells in rows.values())
+
+
+def test_tests_only_marks_are_sound():
+    """A "tests only" module is in the import closure of neither
+    bench.py, __ray_entry__.py nor any module the audit marks as
+    reached. The registry's loader is not followed: it imports every
+    stage, used by a spec or not."""
+    rows = _audit_rows()
+    tests_only = {m for m, cells in rows.items() if cells[-1] == "✓"}
+    todo = [ROOT / "bench.py", ROOT / "__ray_entry__.py"]
+    todo += [PKG / m for m in rows if m not in tests_only]
+    seen = set(todo)
+    while todo:
+        path = todo.pop()
+        skip = "_ensure_builtin" if path == PKG / "stages/registry.py" else None
+        new = _imports(path, skip) - seen
+        seen |= new
+        todo += new
+    reached = {p.relative_to(PKG).as_posix() for p in seen if PKG in p.parents}
+    assert not tests_only & reached, sorted(tests_only & reached)
 
 
 def test_off_surface_operators_resolve():

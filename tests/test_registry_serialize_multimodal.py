@@ -28,6 +28,11 @@ def test_registry_lists_builtin():
     assert not registry.get_stage("output.jsonl").stateful
     with pytest.raises(KeyError):
         registry.get_stage("nope.nope")
+    # removed with their modules; a spec naming one fails to compile
+    for gone in ("clean.typography", "clean.dehyphenate", "extract.imgtext"):
+        assert gone not in names
+        with pytest.raises(KeyError, match="known:"):
+            registry.get_stage(gone)
 
 
 def test_compile_pipeline_runs(ray_session, tmp_path):
@@ -70,9 +75,16 @@ def _extracted_batch():
 
 
 def test_jsonl_rows_roundtrip():
-    out = to_jsonl_rows(_extracted_batch())
+    b = _extracted_batch()
+    out = to_jsonl_rows(b)
     recs = [json.loads(l) for l in out["json"].to_pylist()]
     assert all({"url", "lang", "spans", "provenance"} <= set(r) for r in recs)
+    # the kept span texts survive the trip, row for row
+    assert len(recs) == b.num_rows
+    for r, url, spans in zip(recs, b["url"].to_pylist(),
+                             b["spans"].to_pylist()):
+        assert r["url"] == url
+        assert [s["text"] for s in r["spans"]] == [s["text"] for s in spans or []]
 
 
 def test_explode_spans_offsets():

@@ -1,6 +1,5 @@
-"""Boilerplate-line mining (report.boilerplate_top) and line-break
-dehyphenation (functions/dehyphen.py): DuckDB parity and the
-conservative-rule pins."""
+"""Boilerplate-line mining (report.boilerplate_top): DuckDB parity
+and layout invariance."""
 
 from __future__ import annotations
 
@@ -9,11 +8,6 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from nidaba_ray.functions.dehyphen import (
-    dehyphen_sql_expr,
-    dehyphenate,
-    dehyphenate_batch,
-)
 from nidaba_ray.pipelines.report import boilerplate_top, boilerplate_top_sql
 
 
@@ -54,38 +48,3 @@ def test_boilerplate_layout_invariance(ray_session):
     b = boilerplate_top(rd.from_arrow(t).repartition(5), k=5).to_pandas()
     pd.testing.assert_frame_equal(a, b)
 
-
-DEHYPHEN_SAMPLES = [
-    "the exam-\nple continues on the next line",
-    "hyphen at page edge: naviga-\n  tion lights",
-    "Boat-\nBuilding stays (capital continuation)",
-    "numeric range 3-\n4 stays",
-    "a real compound well-known stays inline",
-    "plain text without any of it",
-    "",
-]
-
-
-def test_dehyphenate_duckdb_parity():
-    con = duckdb.connect()
-    con.register("t", pa.table({"text": pa.array(DEHYPHEN_SAMPLES)}))
-    want = [r[0] for r in con.execute(
-        f"SELECT {dehyphen_sql_expr('text')} FROM t").fetchall()]
-    got = [dehyphenate(s) for s in DEHYPHEN_SAMPLES]
-    assert got == want
-    assert got[0] == "the example continues on the next line"
-    assert got[1] == "hyphen at page edge: navigation lights"
-    assert got[2] == DEHYPHEN_SAMPLES[2]  # conservative: untouched
-    assert got[3] == DEHYPHEN_SAMPLES[3]
-    assert got[4] == DEHYPHEN_SAMPLES[4]
-
-
-def test_dehyphenate_batch_and_registry():
-    from nidaba_ray.stages.registry import list_stages
-
-    assert "clean.dehyphenate" in list_stages()
-    b = pa.table({"text": pa.array(DEHYPHEN_SAMPLES[:2])})
-    out = dehyphenate_batch(b)
-    assert out["text"].to_pylist() == [
-        "the example continues on the next line",
-        "hyphen at page edge: navigation lights"]

@@ -40,40 +40,3 @@ def test_streaming_extract_stats_deterministic(ray_session):
     b = streaming_extract_stats("/root/testdata/sf0.001").to_pandas()
     assert a.equals(b)
 
-
-def test_jsonl_sink_source_roundtrip(ray_session, tmp_path):
-    """extract → output.jsonl → write_json → read_extracted_jsonl:
-    spans and reconstructed text survive the full trip."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from nidaba_ray import synth
-    from nidaba_ray.pipelines.extract import extract_pipeline
-    from nidaba_ray.sources.jsonl import read_extracted_jsonl
-    from nidaba_ray.stages.serialize import to_jsonl_rows
-
-    t = synth.pages_table(n=40).drop_columns(["golden", "doc_id"])
-    pq.write_table(t, str(tmp_path / "p.parquet"))
-    out = extract_pipeline(
-        rd.read_parquet(str(tmp_path / "p.parquet")),
-        extract_concurrency=(1, 2),
-    )
-    jdir = str(tmp_path / "jsonl")
-    out.map_batches(to_jsonl_rows, batch_format="pyarrow").write_json(jdir)
-
-    # pages_table includes dup re-crawls of the same url → keep one
-    # representative per url (same content ⇒ same extraction)
-    orig = (out.to_pandas().groupby("url", as_index=False).first()
-            .set_index("url"))
-    back = (read_extracted_jsonl(jdir).to_pandas()
-            .groupby("url", as_index=False).first().set_index("url"))
-    assert set(back.index) == set(orig.index)
-    for url in list(orig.index)[:20]:
-        o_spans = orig.loc[url, "spans"]
-        b_spans = back.loc[url, "spans"]
-        assert len(o_spans) == len(b_spans)
-        assert [s["text"] for s in o_spans] == [s["text"] for s in b_spans]
-    # reconstructed text == reading-order join of kept spans
-    kept_join = orig["spans"].map(
-        lambda ss: " ".join(s["text"] for s in ss))
-    assert (back["text"].sort_index() == kept_join.sort_index()).all()
