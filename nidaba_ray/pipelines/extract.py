@@ -71,10 +71,10 @@ class FusedExtract:
     utilization (400 s of CPU work took 31 s of wall on 32 CPUs) and
     every row crossed the object store twice. The steps are row-local,
     so composing them is semantically identical; one pool saturates
-    the CPUs and each payload is touched exactly once. The span lists
-    stay Python into the vote — the Arrow list<struct> build +
-    to_pylist round trip between stages measured ~13% of total
-    time."""
+    the CPUs and each payload is touched exactly once. Between the two
+    steps the batch's blocks travel as one block table
+    (``extract.ScoredBlocks``): scored, voted and turned into ``spans``
+    once per batch, with no per-block Python dict."""
 
     def __init__(self, spell: bool = True) -> None:
         self._spell = SpellFilter() if spell else None

@@ -22,7 +22,9 @@ import. Per-row errors are caught and emitted as quarantine rows
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
 
 from nidaba_ray.algorithms.inflate import InflateError, inflate
@@ -32,7 +34,7 @@ from nidaba_ray.stages import pdf as pdfmod
 from nidaba_ray.stages import score as scoremod
 from nidaba_ray.stages.segment import segment_html
 
-__all__ = ["extract_columns", "extract_row"]
+__all__ = ["extract_columns", "extract_row", "ScoredBlocks"]
 
 
 # (magic, codec): compressed wrappers inflated (capped) before the sniff
@@ -48,8 +50,28 @@ class _Quarantine(Exception):
     row's ``error``."""
 
 
-def extract_row(payload: bytes) -> tuple[str, list[dict], str]:
+def extract_row(payload: bytes, table: _BlockTable | None = None
+                ) -> tuple[str, list[dict], str]:
     """One payload → (kind, spans, error). Pure; unit-testable.
+
+    The row's blocks go into a block table: the batch's when
+    ``extract_columns`` passes one, to be scored with the whole batch
+    (``spans`` is then empty), else a one-row table of its own, scored
+    here and returned as span dicts."""
+    kind, items, err = _parse(payload)
+    if table is not None:
+        table.add_row(kind, items)
+        return kind, [], err
+    table = _BlockTable()
+    table.add_row(kind, items)
+    return kind, table.scored().span_dicts(0), err
+
+
+def _parse(payload: bytes) -> tuple[str, list, str]:
+    """One payload → (kind, items, error): ``items`` are the page's or
+    the EPUB chapters' ``segment.Block`` lists for the HTML kinds
+    (``_HTML_KINDS``), the paragraph texts for every other kind, and
+    empty on a quarantine.
 
     Payload dialects (sniffed in order): gzip member (transparently
     inflated — CC WARC records are commonly per-record gzip), bzip2
@@ -58,41 +80,61 @@ def extract_row(payload: bytes) -> tuple[str, list[dict], str]:
     RTF; everything else decodes to text (``_decode_text``) and is
     plain text, an RSS/Atom/RDF feed or HTML."""
     try:
-        for magic, codec in _COMPRESSED:
-            if payload[:len(magic)] == magic:
-                try:
-                    payload = inflate(payload, codec)
-                except InflateError as e:
-                    return "invalid", [], f"{codec}: {e}"
-                break
+        try:
+            payload = _inflate_wrapper(payload)
+        except InflateError as e:
+            return "invalid", [], str(e)
         if payload[:4] == b"PK\x03\x04":
             return _extract_office(payload)
         if payload[:5] == b"{\\rtf":
             return _extract_doc("rtf", payload)
         if pdfmod.is_pdf(payload):
-            return _result("pdf",
-                           _doc_spans(pdfmod.extract_pdf_blocks(payload), "pdf"),
+            return _result("pdf", pdfmod.extract_pdf_blocks(payload),
                            "no text operators found")
         text = _decode_text(payload)
-        if "<" not in text:
-            return _extract_plain_text(text, "payload is not markup")
-        low = text[:512].lower()
-        if not _has_html_marker(low):
-            # syndication dialect: RSS/Atom/RDF roots never carry html
-            # markers, so sniffing here can't shadow a real page
-            fk = feeds.sniff_feed(low)
-            if fk:
-                return _extract_feed(text, fk)
-            if "<body" not in low and "<p" not in low and "<div" not in low:
-                return _extract_plain_text(
-                    text, "payload has no recognizable html structure")
-        return _html_spans(text)
+        dialect, arg = _text_dialect(text)
+        if dialect == "html":
+            return _result("html", _html_pages(text), "no text blocks")
+        if dialect == "feed":
+            return _result("feed", feeds.extract_feed_paragraphs(text, arg),
+                           "no item text")
+        return _extract_plain_text(text, arg)
     except _Quarantine as e:
         return "invalid", [], str(e)
     except UnicodeDecodeError:
         return "invalid", [], "payload is neither PDF nor valid UTF-8"
     except Exception as e:  # per-row isolation: never kill the task
         return "invalid", [], f"extract error: {type(e).__name__}: {e}"
+
+
+def _inflate_wrapper(payload: bytes) -> bytes:
+    """The payload with one compressed wrapper (``_COMPRESSED``)
+    inflated, capped; raises ``InflateError`` with a ``"{codec}: "``
+    message."""
+    for magic, codec in _COMPRESSED:
+        if payload[:len(magic)] == magic:
+            try:
+                return inflate(payload, codec)
+            except InflateError as e:
+                raise InflateError(f"{codec}: {e}") from None
+    return payload
+
+
+def _text_dialect(text: str) -> tuple[str, str]:
+    """How a decoded payload reads: ``("html", "")``, ``("feed", feed
+    kind)`` or ``("text", the error if the plain-text gate refuses)``."""
+    if "<" not in text:
+        return "text", "payload is not markup"
+    low = text[:512].lower()
+    if not _has_html_marker(low):
+        # syndication dialect: RSS/Atom/RDF roots never carry html
+        # markers, so sniffing here can't shadow a real page
+        fk = feeds.sniff_feed(low)
+        if fk:
+            return "feed", fk
+        if "<body" not in low and "<p" not in low and "<div" not in low:
+            return "text", "payload has no recognizable html structure"
+    return "html", ""
 
 
 def _has_html_marker(low: str) -> bool:
@@ -211,77 +253,29 @@ def _extract_plain_text(text: str, gate_error: str) -> tuple:
     # "# Heading" / [text](url) literally. Only after the plain gate
     # passed, and only on unambiguous markers (stages/mdtext.py).
     if mdtext.looks_like_markdown(text):
-        spans = _doc_spans(mdtext.markdown_paragraphs(text), "markdown")
-        if spans:
-            return "markdown", spans, ""
+        paras = mdtext.markdown_paragraphs(text)
+        if paras:
+            return "markdown", paras, ""
     paras = [_WS_RUN_RE.sub(" ", p).strip()
              for p in _PARA_SPLIT_RE.split(text)]
-    spans = _doc_spans([p for p in paras if p], "text")
-    if not spans:
+    paras = [p for p in paras if p]
+    if not paras:
         return "invalid", [], gate_error
-    return "text", spans, ""
+    return "text", paras, ""
 
 
-def _html_spans(text: str) -> tuple[str, list[dict], str]:
-    """An HTML page → segmented, scored block spans."""
+def _html_pages(text: str) -> list[list]:
+    """An HTML page → ``[its blocks]``, or ``[]`` when it has none."""
     blocks = segment_html(sanitize(text, "NFC"))
-    if not blocks:
-        return _result("html", [], "no text blocks")
-    feat = scoremod.block_features(blocks)
-    raw = scoremod.block_scores(feat)
-    scores = scoremod.suppress_isolated(
-        raw, scoremod.smooth_scores(raw, feat)
-    )
-    spans = [
-        {
-            "block_id": i,
-            "kind": b.kind,
-            "depth": b.depth,
-            "text_density": float(feat["text_density"][i]),
-            "link_density": float(feat["link_density"][i]),
-            "score": float(scores[i]),
-            "text": b.text,
-            "start": -1,
-            "end": -1,
-        }
-        for i, b in enumerate(blocks)
-    ]
-    return "html", spans, ""
+    return [blocks] if blocks else []
 
 
-def _doc_spans(paras: list[str], kind: str) -> list[dict]:
-    """Paragraph texts → spans in the PDF no-chrome convention."""
-    return [
-        {
-            "block_id": i,
-            "kind": kind,
-            "depth": 0,
-            "text_density": float(len(t)),
-            "link_density": 0.0,
-            "score": float(len(t)),
-            "text": sanitize(t),
-            "start": -1,
-            "end": -1,
-        }
-        for i, t in enumerate(paras)
-    ]
-
-
-def _result(kind: str, spans: list[dict], empty: str) -> tuple:
-    """``(kind, spans, "")``, or the ``"{kind}: {empty}"`` quarantine
-    when the payload yielded no spans."""
-    if not spans:
+def _result(kind: str, items: list, empty: str) -> tuple:
+    """``(kind, items, "")``, or the ``"{kind}: {empty}"`` quarantine
+    when the payload yielded none."""
+    if not items:
         return kind, [], f"{kind}: {empty}"
-    return kind, spans, ""
-
-
-def _extract_feed(text: str, fk: str) -> tuple[str, list[dict], str]:
-    """RSS/Atom/RDF syndication documents (stages/feeds.py) — channel
-    title + per-item title/body paragraphs, the PDF no-chrome span
-    convention."""
-    return _result("feed",
-                   _doc_spans(feeds.extract_feed_paragraphs(text, fk), "feed"),
-                   "no item text")
+    return kind, items, ""
 
 
 # document kind → its stages.office reader (looked up by name at call
@@ -296,44 +290,145 @@ _DOC_READERS = {
 }
 
 
-def _extract_doc(kind: str, payload: bytes) -> tuple[str, list[dict], str]:
-    paras = getattr(office, _DOC_READERS[kind])(payload)
-    return _result(kind, _doc_spans(paras, kind), "no visible text")
+def _extract_doc(kind: str, payload: bytes) -> tuple:
+    return _result(kind, getattr(office, _DOC_READERS[kind])(payload),
+                   "no visible text")
 
 
-def _extract_office(payload: bytes) -> tuple[str, list[dict], str]:
+def _extract_office(payload: bytes) -> tuple:
     """Zip containers (stages/office.py): DOCX/ODT/XLSX/PPTX through
     ``_DOC_READERS``; EPUB chapters flow through the SAME html
-    segment+score chain as web pages, concatenated in spine order."""
+    segment+score chain as web pages, one scoring segment each, in
+    spine order."""
     kind = office.sniff_office(payload)
     if kind in _DOC_READERS:
         return _extract_doc(kind, payload)
     if kind == "epub":
-        spans: list[dict] = []
-        for chapter in office.epub_chapters(payload):
-            ck, cspans, cerr = extract_row(chapter)
-            if cerr or ck != "html":
-                continue  # cover images / nav docs: skip, keep prose
-            for s in cspans:
-                s["block_id"] = len(spans)
-                spans.append(s)
-        return _result("epub", spans, "no text blocks in any chapter")
+        chapters = [blocks for chapter in office.epub_chapters(payload)
+                    for blocks in _chapter_pages(chapter)]
+        return _result("epub", chapters, "no text blocks in any chapter")
     return "invalid", [], "unrecognized zip container (not docx/epub/odt)"
 
 
-def extract_columns(batch: pa.Table) -> tuple[dict, list[list[dict]]]:
-    """Pages batch → (passthrough columns + ``payload_kind`` and
-    ``error``, per-row span lists).
+def _chapter_pages(chapter: bytes) -> list[list]:
+    """An EPUB chapter → ``[its blocks]``, or ``[]`` for a chapter that
+    is not an HTML page with blocks (cover images, nav docs). A chapter
+    takes only the compressed-wrapper inflate and the text/HTML path: a
+    zip, RTF or PDF chapter is skipped unparsed, so an EPUB nested in
+    its own chapters costs one zip read per level, not a parse."""
+    try:
+        chapter = _inflate_wrapper(chapter)
+        if (chapter[:4] == b"PK\x03\x04" or chapter[:5] == b"{\\rtf"
+                or pdfmod.is_pdf(chapter)):
+            return []
+        text = _decode_text(chapter)
+        return _html_pages(text) if _text_dialect(text)[0] == "html" else []
+    except Exception:  # a chapter's failure skips the chapter
+        return []
 
-    The span lists stay Python on their way into the vote
-    (``merge.vote_columns``): building an Arrow list<struct> column
-    only to ``to_pylist`` it again measured ~13% of total pipeline
-    time."""
-    kinds, spans_col, errors = [], [], []
+
+# payload kinds whose items are segment.Block lists; every other kind's
+# items are paragraph texts
+_HTML_KINDS = frozenset(("html", "epub"))
+
+
+class ScoredBlocks(NamedTuple):
+    """A batch's block table: every block of every row, rows back to
+    back (row ``r`` is ``offsets[r]:offsets[r + 1]``; a quarantined row
+    has none), one column per span field. Document paragraphs (every
+    kind but ``_HTML_KINDS``) carry no chrome: ``score`` and
+    ``text_density`` are the unsanitized paragraph's length,
+    ``link_density`` and ``depth`` 0."""
+
+    text: pa.StringArray
+    kind: pa.StringArray
+    depth: np.ndarray         # int32
+    text_density: np.ndarray  # float64, like the three below
+    link_density: np.ndarray
+    score: np.ndarray
+    offsets: np.ndarray       # intp, rows + 1
+
+    def span_dicts(self, row: int) -> list[dict]:
+        """Row ``row``'s blocks as span dicts (``start``/``end`` -1)."""
+        a, b = self.offsets[row], self.offsets[row + 1]
+        cols = zip(self.kind[a:b].to_pylist(), self.depth[a:b].tolist(),
+                   self.text_density[a:b].tolist(),
+                   self.link_density[a:b].tolist(), self.score[a:b].tolist(),
+                   self.text[a:b].to_pylist())
+        return [{"block_id": i, "kind": k, "depth": d, "text_density": td,
+                 "link_density": ld, "score": sc, "text": t, "start": -1,
+                 "end": -1}
+                for i, (k, d, td, ld, sc, t) in enumerate(cols)]
+
+
+class _BlockTable:
+    """Builds a batch's ``ScoredBlocks`` row by row. HTML blocks keep
+    their ``segment.Block`` objects until ``scored`` runs the scoring
+    kernels once over all of them, each page or chapter its own scoring
+    segment."""
+
+    def __init__(self) -> None:
+        self.text: list[str] = []
+        self.kind: list[str] = []
+        self.depth: list[int] = []
+        self.html: list = []           # every HTML block, in table order
+        self.segments: list[int] = []  # HTML block count per page/chapter
+        self.is_html: list[bool] = []  # per block
+        self.doc_len: list[int] = []   # per document paragraph
+        self.rows = [0]
+
+    def add_row(self, kind: str, items: list) -> None:
+        if kind in _HTML_KINDS:
+            for blocks in items:
+                self.html += blocks
+                self.segments.append(len(blocks))
+                self.text += [b.text for b in blocks]
+                self.kind += [b.kind for b in blocks]
+                self.depth += [b.depth for b in blocks]
+                self.is_html += [True] * len(blocks)
+        else:
+            self.text += map(sanitize, items)
+            self.kind += [kind] * len(items)
+            self.depth += [0] * len(items)
+            self.is_html += [False] * len(items)
+            self.doc_len += map(len, items)
+        self.rows.append(len(self.text))
+
+    def scored(self) -> ScoredBlocks:
+        n = len(self.text)
+        score = np.empty(n)
+        text_density = np.empty(n)
+        link_density = np.zeros(n)
+        is_html = np.array(self.is_html, dtype=bool)
+        if self.html:
+            offsets = np.cumsum([0] + self.segments)
+            feat = scoremod.block_features(self.html)
+            raw = scoremod.block_scores(feat)
+            score[is_html] = scoremod.suppress_isolated(
+                raw, scoremod.smooth_scores(raw, feat, offsets), offsets)
+            text_density[is_html] = feat["text_density"]
+            link_density[is_html] = feat["link_density"]
+        doc = ~is_html
+        score[doc] = text_density[doc] = self.doc_len
+        return ScoredBlocks(
+            pa.array(self.text, pa.string()), pa.array(self.kind, pa.string()),
+            np.array(self.depth, dtype=np.int32), text_density, link_density,
+            score, np.array(self.rows, dtype=np.intp))
+
+
+def extract_columns(batch: pa.Table) -> tuple[dict, ScoredBlocks]:
+    """Pages batch → (passthrough columns + ``payload_kind`` and
+    ``error``, the batch's scored block table).
+
+    Every row's blocks go into one table and the scoring kernels run
+    once over it; the vote (``merge.vote_columns``) then works on its
+    columns and builds ``spans`` from them, with no per-block Python
+    dict between parse and Arrow."""
+    table = _BlockTable()
+    kinds, errors = [], []
     for p in batch["html"].to_pylist():
-        kind, spans, err = extract_row(p or b"")
+        kind, _, err = extract_row(p or b"", table)
         kinds.append(kind)
-        spans_col.append(spans)
         errors.append(err)
     # generic passthrough: every input column except the consumed
     # payload survives (bucket ids, user metadata, ...)
@@ -342,4 +437,4 @@ def extract_columns(batch: pa.Table) -> tuple[dict, list[list[dict]]]:
     }
     cols["payload_kind"] = pa.array(kinds, pa.string())
     cols["error"] = pa.array(errors, pa.string())
-    return cols, spans_col
+    return cols, table.scored()

@@ -13,9 +13,11 @@ windows (Sauvola). Scores are log-compressed before histogramming so
 the split is scale invariant (a 30 kB article and a 300-byte stub
 threshold the same way).
 
-The Otsu and Sauvola kernels are ragged-batch kernels: one call takes
-a whole Arrow batch's block scores back to back plus page offsets
-(``offsets=None`` is one page) and runs a fixed number of numpy calls
+Every kernel but nlbin runs once per Arrow batch, over the batch's
+block table (stages/extract.py): block features and scores are per
+block; ``smooth_scores``, ``suppress_isolated``, Otsu and Sauvola take
+the blocks of many pages back to back plus page offsets
+(``offsets=None`` is one page) and run a fixed number of numpy calls
 for the batch instead of ~20 per page. Each page's result is
 bit-for-bit its one-page result, so output does not depend on where
 batches split. nlbin stays per page: the vote computes it only for
@@ -45,7 +47,8 @@ N_BINS = 64
 
 
 def block_features(blocks) -> dict[str, np.ndarray]:
-    """Vector features for one page's block list (segment.Block)."""
+    """Vector features of a block list (segment.Block): one page's, or
+    a whole batch's back to back — every feature is per block."""
     n = len(blocks)
     text_len = np.fromiter((len(b.text) for b in blocks), dtype=np.float64, count=n)
     anchor = np.fromiter((b.anchor_chars for b in blocks), dtype=np.float64, count=n)
@@ -86,6 +89,7 @@ def block_scores(feat: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def smooth_scores(scores: np.ndarray, feat: dict[str, np.ndarray],
+                  offsets: np.ndarray | None = None,
                   alpha: float = 0.25, beta: float = 3.0) -> np.ndarray:
     """Context boost (boilerpipe-style): a content-shaped block
     (non-chrome, low link density) adjacent to high-scoring blocks is
@@ -105,11 +109,21 @@ def smooth_scores(scores: np.ndarray, feat: dict[str, np.ndarray],
     neighbor mass alone; with it, worded cells (own score ≥ a few
     chars) still chain normally. Real-page fixtures
     ``event_calendar_grid`` (bare cells drop) and ``data_table`` /
-    ``giant_data_table`` (worded cells keep) pin both sides."""
+    ``giant_data_table`` (worded cells keep) pin both sides.
+
+    ``scores`` may hold several pages back to back (``offsets`` as in
+    ``keep_global_otsu``): a page's first and last blocks have no
+    neighbor across the page edge, so a one-block page comes back
+    unchanged."""
     if len(scores) < 2:
         return scores
+    offsets = _page_offsets(scores, offsets)
+    counts = np.diff(offsets)
+    starts = offsets[:-1][counts > 0]
     prev = np.concatenate(([0.0], scores[:-1]))
+    prev[starts] = 0.0
     nxt = np.concatenate((scores[1:], [0.0]))
+    nxt[offsets[1:][counts > 0] - 1] = 0.0
     eligible = (~feat["chrome"]) & (feat["link_density"] < 0.33) & (scores > 0)
     boost = alpha * (prev + nxt)
     boost = np.where(feat["cell"], np.minimum(boost, beta * scores), boost)
@@ -117,6 +131,7 @@ def smooth_scores(scores: np.ndarray, feat: dict[str, np.ndarray],
 
 
 def suppress_isolated(raw: np.ndarray, smoothed: np.ndarray,
+                      offsets: np.ndarray | None = None,
                       frac: float = 0.15) -> np.ndarray:
     """Zero out *isolated weak runs*: contiguous stretches of
     positive-score blocks whose combined mass is small relative to the
@@ -129,13 +144,23 @@ def suppress_isolated(raw: np.ndarray, smoothed: np.ndarray,
     paragraphs (zero-score link farms break runs, content never does),
     so the run containing the page max is always safe. Real-page
     fixtures ``infinite_scroll_stub`` and ``data_table``
-    (tests/test_realpages.py) pin both sides of this rule."""
+    (tests/test_realpages.py) pin both sides of this rule.
+
+    Over several back-to-back pages (``offsets`` as in
+    ``keep_global_otsu``) runs end at page edges and each page is
+    weighed against its own max, so a one-block page comes back
+    unchanged. A run's mass is summed in block order from zero, as the
+    one-page computation sums it."""
     if len(raw) < 2:
         return smoothed
-    mx = raw.max()
+    offsets = _page_offsets(raw, offsets)
+    counts = np.diff(offsets)
+    live = counts > 0
+    mx = np.repeat(np.maximum.reduceat(raw, offsets[:-1][live]), counts[live])
     pos = raw > 0
-    starts = pos & ~np.concatenate(([False], pos[:-1]))
-    run_id = np.cumsum(starts) * pos  # 0 marks non-positive gaps
+    after_pos = np.concatenate(([False], pos[:-1]))
+    after_pos[offsets[:-1][live]] = False
+    run_id = np.cumsum(pos & ~after_pos) * pos  # 0 marks non-positive gaps
     run_sum = np.bincount(run_id, weights=raw)[run_id]
     weak = pos & (run_sum < frac * mx)
     return np.where(weak, 0.0, smoothed)

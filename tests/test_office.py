@@ -39,7 +39,7 @@ def _p(*runs: str) -> str:
     return f"<w:p>{inner}</w:p>"
 
 
-def make_epub(chapters: dict[str, str], spine: list[str],
+def make_epub(chapters: dict[str, str | bytes], spine: list[str],
               subdir: str = "OEBPS") -> bytes:
     items = "".join(
         f'<item id="{cid}" href="{cid}.xhtml" '
@@ -403,3 +403,28 @@ def test_zip_member_inflates_only_its_declared_size():
     assert (kind, spans) == ("invalid", [])
     assert "docx:" in err, err
     assert peak < 4 << 20, peak
+
+
+def _nested_epub(depth: int) -> bytes:
+    """An EPUB whose one chapter, listed 8 times in the spine, is an
+    EPUB of the same shape, ``depth`` levels down to an HTML page."""
+    payload = make_epub({"c": "<html><body><p>innermost text</p></body></html>"},
+                        ["c"])
+    for _ in range(depth):
+        payload = make_epub({"n": payload}, ["n"] * 8)
+    return payload
+
+
+def test_nested_epub_chapters_are_skipped_unparsed():
+    """A chapter that is itself a zip (or a PDF or RTF) is skipped
+    before any parse, so nesting costs one zip read per level instead
+    of a full extraction per spine entry per level (8× per level)."""
+    import time
+
+    assert extract_row(_nested_epub(0))[2] == ""
+    skipped = ("epub", [], "epub: no text blocks in any chapter")
+    assert extract_row(_nested_epub(1)) == skipped
+    deep = _nested_epub(8)
+    t0 = time.perf_counter()
+    assert extract_row(deep) == skipped
+    assert time.perf_counter() - t0 < 1.0
