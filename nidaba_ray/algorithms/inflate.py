@@ -1,5 +1,5 @@
-"""Capped inflate for the compressed payload dialects (gzip, bzip2, xz)
-and for PDF FlateDecode streams.
+"""Capped inflate for the compressed payload dialects (gzip, bzip2, xz),
+for PDF FlateDecode streams and for PNG / TIFF deflate data.
 
 ``gzip``/``bz2``/``lzma.decompress`` return whatever a stream expands
 to, so a few kB of hostile input can take a worker's heap (a
@@ -8,15 +8,19 @@ compression bomb). ``inflate`` runs the incremental decompressors with
 while keeping the one-shot functions' handling of concatenated members:
 gzip skips NUL padding between members and rejects anything else that
 follows; bzip2/xz ignore trailing bytes that do not start a stream.
+Image decoders know their raw size from the header, so
+``inflate_zlib_prefix`` stops one byte past it.
 """
 
 from __future__ import annotations
 
 import bz2
 import lzma
+import sys
 import zlib
 
-__all__ = ["MAX_INFLATED_BYTES", "InflateError", "inflate", "inflate_zlib"]
+__all__ = ["MAX_INFLATED_BYTES", "InflateError", "inflate", "inflate_zlib",
+           "inflate_zlib_prefix"]
 
 MAX_INFLATED_BYTES = 64 << 20
 
@@ -61,16 +65,28 @@ def inflate(payload: bytes, codec: str) -> bytes:
     return b"".join(members)
 
 
+def inflate_zlib_prefix(body: bytes, limit: int) -> bytes:
+    """At most the first ``limit`` bytes of ``zlib.decompress(body)``:
+    one zlib stream, trailing bytes ignored, and ``zlib.error`` (with
+    zlib's own messages) on a corrupt stream or on one that ends
+    before ``limit`` bytes without its end marker. A caller that knows
+    the inflated size passes it plus one and compares (a header may
+    imply more than an index can address: such a limit is clamped)."""
+    limit = min(limit, sys.maxsize)
+    d = zlib.decompressobj()
+    out = d.decompress(body, limit)
+    if len(out) < limit and not d.eof:
+        raise zlib.error("Error -5 while decompressing data: "
+                         "incomplete or truncated stream")
+    return out
+
+
 def inflate_zlib(body: bytes) -> bytes:
     """``zlib.decompress(body)`` with at most ``MAX_INFLATED_BYTES`` of
     output: one zlib stream, trailing bytes ignored (even a second
     stream), ``zlib.error`` on a corrupt or truncated stream, and
     ``InflateError`` past the cap."""
-    cap = MAX_INFLATED_BYTES
-    d = zlib.decompressobj()
-    out = d.decompress(body, cap + 1)
-    if len(out) > cap:
+    out = inflate_zlib_prefix(body, MAX_INFLATED_BYTES + 1)
+    if len(out) > MAX_INFLATED_BYTES:
         raise InflateError("decompressed size exceeds cap")
-    if not d.eof:
-        raise zlib.error("incomplete or truncated stream")
     return out

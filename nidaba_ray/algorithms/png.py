@@ -27,6 +27,8 @@ import zlib
 
 import numpy as np
 
+from nidaba_ray.algorithms.inflate import inflate_zlib_prefix
+
 __all__ = ["PNG_SIG", "decode_png", "encode_png", "decode_bmp",
            "encode_bmp", "to_gray"]
 
@@ -107,6 +109,16 @@ def _unfilter(raw: bytes, h: int, stride: int, bpp: int) -> np.ndarray:
     return out
 
 
+def _adam7_passes(w: int, h: int):
+    """(x0, y0, xs, ys, pass width, pass height) of each non-empty
+    Adam7 pass."""
+    for x0, y0, xs, ys in _ADAM7:
+        pw = (w - x0 + xs - 1) // xs
+        ph = (h - y0 + ys - 1) // ys
+        if pw > 0 and ph > 0:
+            yield x0, y0, xs, ys, pw, ph
+
+
 def _deinterlace(raw: bytes, w: int, h: int, ch: int) -> np.ndarray:
     """Adam7: the inflated stream is seven concatenated sub-images,
     each filtered independently (filter byte per sub-image scanline,
@@ -114,11 +126,7 @@ def _deinterlace(raw: bytes, w: int, h: int, ch: int) -> np.ndarray:
     onto the full-size grid."""
     out = np.zeros((h, w * ch), dtype=np.uint8)
     pos = 0
-    for x0, y0, xs, ys in _ADAM7:
-        pw = (w - x0 + xs - 1) // xs
-        ph = (h - y0 + ys - 1) // ys
-        if pw <= 0 or ph <= 0:
-            continue
+    for x0, y0, xs, ys, pw, ph in _adam7_passes(w, h):
         stride = pw * ch
         need = ph * (stride + 1)
         sub = _unfilter(raw[pos:pos + need], ph, stride, ch)
@@ -166,7 +174,14 @@ def decode_png(data: bytes) -> np.ndarray:
     if w == 0 or h == 0:
         raise ValueError("empty PNG")
     ch = _CHANNELS[ctype_]
-    raw = zlib.decompress(bytes(idat))
+    # inflate one byte past the size the header implies, so a bomb
+    # stops there and fails the size check instead of filling memory
+    if interlace == 1:
+        need = sum(ph * (pw * ch + 1)
+                   for *_, pw, ph in _adam7_passes(w, h))
+    else:
+        need = h * (w * ch + 1)
+    raw = inflate_zlib_prefix(bytes(idat), need + 1)
     if interlace == 1:
         mat = _deinterlace(raw, w, h, ch)
     else:

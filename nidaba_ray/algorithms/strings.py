@@ -6,6 +6,7 @@ hot path inside ``map_batches``/``map_groups`` stages.
 
 Reference analogs:
     sanitize              ~ nidaba/algorithms/string.py:sanitize (NFC/NFD)
+    split_paragraphs      plain-text paragraphs (blank-line split)
     edit_distance         ~ string.py:edit_distance (Levenshtein)
     full_edit_distance    ~ string.py:full_edit_distance (DP matrix + ops)
     lcs_align             ~ string.py semi-global alignment + np_backtrace
@@ -15,6 +16,7 @@ Reference analogs:
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from itertools import combinations
 from typing import Sequence
@@ -23,6 +25,9 @@ import numpy as np
 
 __all__ = [
     "sanitize",
+    "split_paragraphs",
+    "PARA_SPLIT_RE",
+    "WS_RUN_RE",
     "edit_distance",
     "full_edit_distance",
     "lcs_align",
@@ -41,6 +46,17 @@ def sanitize(text: str, normalization: str = "NFC") -> str:
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     return unicodedata.normalize(normalization, text.strip())
+
+
+PARA_SPLIT_RE = re.compile(r"\n[ \t]*\n+")  # a blank line ends a paragraph
+WS_RUN_RE = re.compile(r"[ \t\r\n]+")
+
+
+def split_paragraphs(text: str) -> list[str]:
+    """Plain text → paragraphs: split on blank lines, collapse each
+    whitespace run to one space, drop the empty ones."""
+    paras = (WS_RUN_RE.sub(" ", p).strip() for p in PARA_SPLIT_RE.split(text))
+    return [p for p in paras if p]
 
 
 def edit_distance(s1: Sequence, s2: Sequence) -> int:

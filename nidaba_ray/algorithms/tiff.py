@@ -32,6 +32,7 @@ import zlib
 
 import numpy as np
 
+from nidaba_ray.algorithms.inflate import inflate_zlib_prefix
 from nidaba_ray.algorithms.lzw import lzw_decode, lzw_encode
 
 __all__ = ["is_tiff", "decode_tiff", "encode_tiff", "tiff_n_pages",
@@ -248,8 +249,8 @@ def decode_tiff(data: bytes, page: int = 0) -> np.ndarray:
             if len(raw) != rows * row_bytes:
                 raise ValueError("LZW TIFF strip size mismatch")
         elif comp in (8, 32946):  # Adobe deflate (+ the legacy code)
-            try:
-                raw = zlib.decompress(raw)
+            try:  # one byte past the strip's size: a bomb stops there
+                raw = inflate_zlib_prefix(raw, rows * row_bytes + 1)
             except zlib.error as e:
                 raise ValueError(f"deflate TIFF strip: {e}") from None
             if len(raw) != rows * row_bytes:

@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 
 from nidaba_ray.algorithms.inflate import InflateError, inflate
-from nidaba_ray.algorithms.strings import sanitize
+from nidaba_ray.algorithms.strings import sanitize, split_paragraphs
 from nidaba_ray.stages import feeds, mdtext, office
 from nidaba_ray.stages import pdf as pdfmod
 from nidaba_ray.stages import score as scoremod
@@ -232,10 +232,6 @@ def _sniff_charset(head: bytes) -> str | None:
     return name if name in _WEB_CHARSETS else None
 
 
-_PARA_SPLIT_RE = re.compile(r"\n[ \t]*\n+")
-_WS_RUN_RE = re.compile(r"[ \t\r\n]+")
-
-
 def _extract_plain_text(text: str, gate_error: str) -> tuple:
     """text/plain payloads (round 5): paragraphs split on blank lines,
     internal newlines collapse to spaces, the PDF no-chrome span
@@ -256,9 +252,7 @@ def _extract_plain_text(text: str, gate_error: str) -> tuple:
         paras = mdtext.markdown_paragraphs(text)
         if paras:
             return "markdown", paras, ""
-    paras = [_WS_RUN_RE.sub(" ", p).strip()
-             for p in _PARA_SPLIT_RE.split(text)]
-    paras = [p for p in paras if p]
+    paras = split_paragraphs(text)
     if not paras:
         return "invalid", [], gate_error
     return "text", paras, ""

@@ -32,6 +32,8 @@ from __future__ import annotations
 import html as _html
 import re
 
+from nidaba_ray.algorithms.strings import split_paragraphs
+
 __all__ = ["sniff_feed", "extract_feed_paragraphs"]
 
 # ``<rss``/``<feed``/``<rdf:RDF`` as the first root-ish element — the
@@ -54,8 +56,6 @@ _BLOCK_BREAK_RE = re.compile(
     r"(?is)<br\s*/?>|</p\s*>|</li\s*>|</div\s*>|</h[1-6]\s*>|"
     r"</blockquote\s*>|</tr\s*>")
 _TAG_RE = re.compile(r"(?s)<[^>]*>")
-_WS_RUN_RE = re.compile(r"[ \t\r\n]+")
-_PARA_SPLIT_RE = re.compile(r"\n[ \t]*\n+")
 
 
 def sniff_feed(low_head: str) -> str | None:
@@ -86,13 +86,7 @@ def _field_paragraphs(raw: str) -> list[str]:
     parts.append(_html.unescape(raw[pos:]))
     inner = "".join(parts)
     inner = _BLOCK_BREAK_RE.sub("\n\n", inner)
-    inner = _TAG_RE.sub(" ", inner)
-    paras = []
-    for p in _PARA_SPLIT_RE.split(inner):
-        p = _WS_RUN_RE.sub(" ", p).strip()
-        if p:
-            paras.append(p)
-    return paras
+    return split_paragraphs(_TAG_RE.sub(" ", inner))
 
 
 def _first(rx: re.Pattern, blob: str) -> str:

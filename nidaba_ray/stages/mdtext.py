@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import re
 
+from nidaba_ray.algorithms.strings import PARA_SPLIT_RE, WS_RUN_RE
+
 __all__ = ["looks_like_markdown", "markdown_paragraphs"]
 
 _HEADING_RE = re.compile(r"(?m)^#{1,6} \S")
@@ -39,8 +41,6 @@ _HEADING_STRIP_RE = re.compile(r"^#{1,6} ")
 _QUOTE_STRIP_RE = re.compile(r"(?m)^[ \t]{0,3}> ?")
 _ITEM_SPLIT_RE = re.compile(
     r"(?m)^[ \t]{0,3}(?:[-*+]|\d{1,3}\.) ")
-_WS_RUN_RE = re.compile(r"[ \t\r\n]+")
-_PARA_SPLIT_RE = re.compile(r"\n[ \t]*\n+")
 
 
 def looks_like_markdown(text: str) -> bool:
@@ -81,7 +81,7 @@ _HEADING_LINE_RE = re.compile(r"(?m)^(#{1,6} [^\n]*)$")
 
 def _prose_paragraphs(chunk: str) -> list[str]:
     paras: list[str] = []
-    for block in _PARA_SPLIT_RE.split(chunk):
+    for block in PARA_SPLIT_RE.split(chunk):
         if not block.strip():
             continue
         block = _QUOTE_STRIP_RE.sub("", block)
@@ -95,7 +95,7 @@ def _prose_paragraphs(chunk: str) -> list[str]:
             parts = _ITEM_SPLIT_RE.split(seg)
             for part in (parts if len(parts) > 1 else [seg]):
                 part = _HEADING_STRIP_RE.sub("", part.strip())
-                part = _WS_RUN_RE.sub(" ", _inline(part)).strip()
+                part = WS_RUN_RE.sub(" ", _inline(part)).strip()
                 if part:
                     paras.append(part)
     return paras

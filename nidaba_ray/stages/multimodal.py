@@ -516,6 +516,8 @@ def probe_media(payload: bytes) -> dict:
     if p[:8] == PNG_SIG:
         if len(p) < 24:
             raise ValueError("png: truncated IHDR")
+        if p[8:16] != b"\x00\x00\x00\x0dIHDR":  # 13-byte IHDR first
+            raise ValueError("png: first chunk is not IHDR")
         out.update(container="png", kind="image", codec="png",
                    width=int.from_bytes(p[16:20], "big"),
                    height=int.from_bytes(p[20:24], "big"), n_units=1)
@@ -609,7 +611,10 @@ def probe_media(payload: bytes) -> dict:
     if is_flac(p):
         if len(p) < 4 + 4 + 34:
             raise ValueError("flac: truncated STREAMINFO")
-        si = p[8:42]  # first metadata block must be STREAMINFO
+        # the first metadata block must be STREAMINFO: type 0, 34 bytes
+        if p[4] & 0x7F != 0 or int.from_bytes(p[5:8], "big") != 34:
+            raise ValueError("flac: first metadata block is not STREAMINFO")
+        si = p[8:42]
         word = int.from_bytes(si[10:18], "big")
         rate = word >> 44
         total = word & ((1 << 36) - 1)

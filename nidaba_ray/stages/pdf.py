@@ -3,9 +3,10 @@ nidaba/plugins/kraken.py, UNVERIFIED per SURVEY.md §0).
 
 A real (public-spec) PDF *subset* parser, pure stdlib:
 
-  * xref-free scan: every ``<< dict >> stream … endstream`` object is
-    located by pattern, in file order (damaged xref tables don't
-    matter — the same recovery strategy real extractors use);
+  * xref-free scan: one pattern pass locates every ``N G obj``, one
+    every ``<< dict >> stream … endstream``, into a stream table that
+    all later steps read (damaged xref tables don't matter — the same
+    recovery strategy real extractors use);
   * stream ``/Filter`` chains decode in array order — FlateDecode
     (zlib), LZWDecode (from-scratch TIFF-variant LZW incl. the
     /EarlyChange parm), ASCIIHexDecode, ASCII85Decode and
@@ -30,10 +31,10 @@ A real (public-spec) PDF *subset* parser, pure stdlib:
   * simple-font ``/Differences`` encoding arrays (spec §9.6.6.3):
     byte codes remap through an Adobe-Glyph-List subset plus the
     algorithmic ``uniXXXX``/``uXXXX`` name forms, over an ASCII base;
-  * RC4-encrypted files (standard security handler, /V 1|2, /R 2|3,
-    empty user password): the file key is derived per spec §7.6.3 and
-    every stream body is decrypted in place before parsing;
-
+  * encrypted files (standard security handler, empty user password:
+    RC4 /V 1|2 /R 2|3, RC4 or AESV2 crypt filters under /V 4, AESV3
+    under /V 5): the file key is derived per spec §7.6.2-3 and the
+    table's stream bodies are replaced by their plaintext;
   * per-font encoding switching: ``/Font`` resource dicts are
     resolved through indirect references (xref-free object scan), and
     the ``Tf`` operator switches the active (ToUnicode CMap,
@@ -42,17 +43,15 @@ A real (public-spec) PDF *subset* parser, pure stdlib:
     document-level maps.
 
 Block contract: one block per BT…ET text object; lines within a block
-join with a single space. ``/Type /ObjStm`` object streams are
-EXPANDED (round 5): the packed non-stream objects are reconstructed
-as plain ``N 0 obj`` text so font dicts / ``/Differences`` tables that
-modern writers compress there resolve per-font (content streams and
-ToUnicode CMaps cannot live in an ObjStm, so the content pass is
-untouched); ``/Type /XRef`` cross-reference streams are recognized
-and skipped as structure. Out of scope (documented): incrementing
-bfranges that cross a surrogate boundary (bfchar and array-form
-destinations decode fine in any plane, incl. surrogate pairs), and
-non-empty user passwords (empty-user-password RC4 V 1/2 R 2/3 AND
-AES V 4/5 files both decrypt: spec §7.6.2-3, Algorithms 1-6/2.A).
+join with a single space. The non-stream objects packed in ``/Type
+/ObjStm`` object streams join the object index, so font dicts /
+``/Differences`` tables that modern writers compress there resolve
+per-font (content streams and ToUnicode CMaps cannot live in an
+ObjStm, so a member is never read as a stream); ``/Type /XRef``
+cross-reference streams are recognized and skipped as structure. Out
+of scope (documented): incrementing bfranges that cross a surrogate
+boundary (bfchar and array-form destinations decode fine in any
+plane, incl. surrogate pairs), and non-empty user passwords.
 Inline images (``BI … ID <binary> EI``, spec §8.9.7) are skipped as
 opaque spans so their binary payload can never be mis-tokenized into
 text. A production build swaps this module for a full parser behind
@@ -64,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import re
 import zlib
+from bisect import bisect_left, bisect_right
 
 __all__ = ["is_pdf", "extract_pdf_blocks", "PDF_MAGIC"]
 
@@ -84,7 +84,8 @@ _STREAM_RE = re.compile(
 # indirect-ref lookahead backtracks to a digit prefix ("/Length 15 0 R"
 # would capture b"1") and mis-slice the stream body
 _LENGTH_RE = re.compile(rb"/Length\s+(\d+)(?!\d)(?!\s+\d+\s+R)")
-_WS_BYTES = frozenset(b" \t\r\n\f\x00")
+_WS = b" \t\r\n\f\x00"
+_WS_BYTES = frozenset(_WS)
 
 # ---------------------------------------------------------------------------
 # Stream filters (spec §7.4): the lossless text-bearing filters, applied
@@ -99,30 +100,16 @@ _FILTER_RE = re.compile(rb"/Filter\s*(\[[^\]]*\]|/[A-Za-z0-9]+)")
 _FILTER_NAME_RE = re.compile(rb"/([A-Za-z0-9]+)")
 _EARLY_RE = re.compile(rb"/EarlyChange\s+(\d+)(?!\d)")
 _PREDICTOR_RE = re.compile(rb"/Predictor\s+(\d+)(?!\d)")
-_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
 def _ascii_hex_decode(data: bytes) -> bytes:
     """ASCIIHexDecode (§7.4.2): hex pairs, whitespace ignored, `>` is
     EOD, a dangling final digit reads as if followed by 0."""
-    out = bytearray()
-    hi = -1
-    for b in data:
-        if b == 0x3E:  # '>'
-            break
-        if b in _WS_BYTES:
-            continue
-        if b not in _HEX_DIGITS:
-            raise ValueError("ASCIIHex: bad digit")
-        v = int(chr(b), 16)
-        if hi < 0:
-            hi = v
-        else:
-            out.append(hi * 16 + v)
-            hi = -1
-    if hi >= 0:
-        out.append(hi * 16)
-    return bytes(out)
+    h = data.split(b">", 1)[0].translate(None, _WS)
+    if h.translate(None, _HEX_DIGITS):
+        raise ValueError("ASCIIHex: bad digit")
+    return bytes.fromhex((h + b"0" * (len(h) % 2)).decode("ascii"))
 
 
 def _ascii85_decode(data: bytes) -> bytes:
@@ -262,14 +249,129 @@ def is_pdf(payload: bytes) -> bool:
     return payload[: len(PDF_MAGIC)] == PDF_MAGIC
 
 
+def _hex_bytes(h: bytes) -> bytes:
+    """The digits of a ``<…>`` hex string (whitespace ignored) → bytes;
+    an odd final digit reads as if followed by 0 (spec §7.3.4.3), which
+    keeps extract_pdf_blocks TOTAL on corrupt input."""
+    h = re.sub(rb"\s", b"", h)
+    return bytes.fromhex((h + b"0" * (len(h) % 2)).decode("ascii"))
+
+
 # ---------------------------------------------------------------------------
-# Standard security handler (spec §7.6.3): RC4 with /V 1|2, /R 2|3 and
-# an EMPTY user password (the common owner-password-only case). The
-# whole file is decrypted up front — every stream body is replaced
-# in-place (RC4 is length-preserving, so all offsets stay valid) and
-# the rest of the parser runs on plaintext. AES files (/V 4 AESV2,
-# /V 5 AESV3) are NOT length-preserving, so those are decrypted by
-# rebuilding the file (see _rebuild_aes_decrypted). Out of scope:
+# The stream table: one _OBJGEN_RE and one _STREAM_RE pass over the file
+# (plus, in a damaged file only, one pass over each object a stream's
+# match runs into); every later step reads the entries
+# ---------------------------------------------------------------------------
+
+_OBJGEN_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b(.*?)\bendobj", re.S)
+_UNSET = object()
+
+
+class _Stream:
+    """One ``<< dict >> stream … endstream`` match as offsets into
+    ``src`` (the payload, or its own plaintext once decrypted), never
+    a copy: the body runs ``cap`` bytes from ``start`` to the pattern's
+    ``endstream``; ``size`` is the direct /Length (None when absent,
+    indirect or past the end), which keeps a trailing EOL data byte the
+    pattern would eat (spec §7.3.8.1). ``obj`` indexes the enclosing
+    object (None outside every object); ``top`` is False for a stream
+    found only by :func:`_scan`'s per-object rescan."""
+
+    __slots__ = ("dict_src", "obj", "top", "src", "start", "cap", "size",
+                 "_body", "_cmap")
+
+    def __init__(self, payload: bytes, m: re.Match, obj: int | None,
+                 top: bool = True):
+        self.dict_src = m.group(1)
+        self.obj, self.top = obj, top
+        self.src, self.start = payload, m.start(2)
+        self.cap = m.end(2) - self.start
+        self.size = None
+        lm = _LENGTH_RE.search(self.dict_src)
+        if lm and self.start + int(lm.group(1)) <= len(payload):
+            self.size = int(lm.group(1))
+        self._body = self._cmap = _UNSET
+
+    def declared(self) -> bytes:
+        """The body as /Length declares it, else up to ``endstream``."""
+        n = self.cap if self.size is None else self.size
+        return self.src[self.start : self.start + n]
+
+    def body(self) -> bytes | None:
+        """The decoded body, decoded on first use; None if undecodable."""
+        if self._body is _UNSET:
+            self._body = self._decode()
+        return self._body
+
+    def _decode(self) -> bytes | None:
+        """Unfiltered bodies end at ``endstream``. A /Filter chain
+        decodes in array order, over the declared slice FIRST, then the
+        pattern capture (tolerates the common malformation of an
+        under-declared /Length — zlib and the EOD-marked filters ignore
+        trailing bytes); a chain this subset can't decode skips the
+        stream."""
+        chain = _stream_filter_chain(self.dict_src)
+        if chain is None:
+            return None  # image codec / predictor / unknown — not text
+        captured = self.src[self.start : self.start + self.cap]
+        if not chain:
+            return captured
+        bodies = [self.declared()]
+        if len(bodies[0]) != self.cap:
+            bodies.append(captured)
+        for b in bodies:
+            try:
+                return _apply_filter_chain(b, chain, self.dict_src)
+            except (ValueError, zlib.error):
+                continue
+        return None
+
+    def cmap(self) -> dict[int, str]:
+        """The decoded body as a ToUnicode CMap, parsed on first use."""
+        if self._cmap is _UNSET:
+            self._cmap = parse_tounicode_cmap(self.body() or b"")
+        return self._cmap
+
+
+def _scan(payload: bytes) -> tuple[list[re.Match], list[_Stream]]:
+    """The document's objects and its stream table, in file order. A
+    stream belongs to the object whose body holds its whole match. A
+    match that crosses an object boundary (a damaged ``endstream`` or
+    ``<<``) swallows the streams of the objects it straddles, so each
+    of those is rescanned alone; its streams resolve and decrypt, but
+    only whole-file matches are content. Well-formed files are scanned
+    once."""
+    objs = list(_OBJGEN_RE.finditer(payload))
+    ends = [m.end(3) for m in objs]
+    streams: list[_Stream] = []
+    straddled: dict[int, None] = {}  # insertion-ordered set
+    for m in _STREAM_RE.finditer(payload):
+        k = bisect_left(ends, m.end())
+        if k < len(objs) and objs[k].start(3) <= m.start():
+            streams.append(_Stream(payload, m, k))
+            continue
+        streams.append(_Stream(payload, m, None))
+        j = bisect_right(ends, m.start())
+        while j < len(objs) and objs[j].start(3) < m.end():
+            straddled[j] = None
+            j += 1
+    for s in streams:
+        if s.obj in straddled:  # the object's own scan finds it again
+            s.obj = None
+    for j in straddled:
+        o = objs[j]
+        streams.extend(
+            _Stream(payload, m, j, top=False)
+            for m in _STREAM_RE.finditer(payload, o.start(3), o.end(3)))
+    return objs, streams
+
+
+# ---------------------------------------------------------------------------
+# Standard security handler (spec §7.6.2-3) with an EMPTY user password
+# (the common owner-password-only case): RC4 (/V 1|2 /R 2|3, or /V 4
+# with a /V2 crypt filter), AES-128 (/V 4 AESV2) and AES-256 (/V 5
+# AESV3). Decryption replaces the stream table's bodies with their
+# plaintext; nothing else of the file is rewritten. Out of scope:
 # non-Standard filters, non-empty user passwords, and strings outside
 # streams (they never carry page text; content + ToUnicode live in
 # streams, which ARE decrypted).
@@ -284,7 +386,6 @@ _PAD = bytes((
 _ENC_REF_RE = re.compile(rb"/Encrypt\s+(\d+)\s+(\d+)\s+R")
 _ENC_INLINE_RE = re.compile(rb"/Encrypt\s*<<((?:(?!<<).)*?)>>", re.S)
 _ID_RE = re.compile(rb"/ID\s*\[\s*<([0-9A-Fa-f\s]*)>")
-_OBJGEN_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b(.*?)\bendobj", re.S)
 
 
 def _rc4(key: bytes, data: bytes) -> bytes:
@@ -319,13 +420,7 @@ def _enc_string(d: bytes, name: bytes) -> bytes | None:
     i = m.end()
     if i < len(d) and d[i] == 0x3C:  # '<'
         hm = _HEX_RE.match(d, i)
-        if hm:
-            h = re.sub(rb"\s", b"", hm.group(1))
-            if len(h) % 2:
-                h += b"0"  # odd digit count → trailing zero (spec);
-                # keeps extract_pdf_blocks TOTAL on corrupt input
-            return bytes.fromhex(h.decode("ascii"))
-        return None
+        return _hex_bytes(hm.group(1)) if hm else None
     if i < len(d) and d[i] == 0x28:  # '('
         s, _ = _scan_string(d, i)
         return s
@@ -356,10 +451,10 @@ def _check_user_password(key: bytes, U: bytes, id0: bytes, R: int) -> bool:
     return x == U[:16]
 
 
-def _obj_key(key: bytes, num: int, gen: int) -> bytes:
+def _obj_key(key: bytes, num: int, gen: int, salt: bytes = b"") -> bytes:
     """Algorithm 1: per-object RC4 key."""
     h = hashlib.md5(
-        key + num.to_bytes(3, "little") + gen.to_bytes(2, "little")
+        key + num.to_bytes(3, "little") + gen.to_bytes(2, "little") + salt
     ).digest()
     return h[: min(len(key) + 5, 16)]
 
@@ -367,11 +462,7 @@ def _obj_key(key: bytes, num: int, gen: int) -> bytes:
 def _aes_obj_key(key: bytes, num: int, gen: int) -> bytes:
     """Algorithm 1 with the AESV2 salt (ISO 32000 §7.6.2: the bytes
     0x73 41 6C 54, "sAlT", appended before the md5)."""
-    h = hashlib.md5(
-        key + num.to_bytes(3, "little") + gen.to_bytes(2, "little")
-        + b"sAlT"
-    ).digest()
-    return h[: min(len(key) + 5, 16)]
+    return _obj_key(key, num, gen, b"sAlT")
 
 
 def _hash_2b(pwd: bytes, salt: bytes, udata: bytes = b"") -> bytes:
@@ -393,7 +484,7 @@ def _hash_2b(pwd: bytes, salt: bytes, udata: bytes = b"") -> bytes:
             return k[:32]
 
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 
 @lru_cache(maxsize=256)
@@ -425,58 +516,24 @@ def _aes_file_key_v5(enc: bytes, R: int) -> bytes | None:
     return _aes.decrypt_cbc(ik, bytes(16), UE[:32], unpad=False)
 
 
-def _rebuild_aes_decrypted(payload: bytes, objs, enc_num: int,
-                           key_for) -> bytes:
-    """AES-CBC is not length-preserving (16-byte IV prefix + padding),
-    so unlike the RC4 path the file is REBUILT: each stream body is
-    replaced by its plaintext and the dict's /Length rewritten. Only
-    /Length and delimiters matter downstream — the parser is an
-    xref-free scan, so shifted offsets are harmless."""
+def _aes_cbc(key: bytes, ct: bytes) -> bytes | None:
+    """IV-prefixed AES-CBC body → plaintext; None when malformed."""
     from nidaba_ray.algorithms import aes as _aes
 
-    parts: list[bytes] = []
-    pos = 0
-    for m in objs:
-        num, gen = int(m.group(1)), int(m.group(2))
-        if num == enc_num:
-            continue
-        base = m.start(3)
-        for sm in _STREAM_RE.finditer(m.group(3)):
-            start, end = base + sm.start(2), base + sm.end(2)
-            lm = _LENGTH_RE.search(sm.group(1))
-            if lm:  # binary bodies: trust /Length over the pattern end
-                ln = int(lm.group(1))
-                if start + ln <= len(payload):
-                    end = start + ln
-            ct = payload[start:end]
-            if len(ct) < 32 or len(ct) % 16 or start < pos:
-                continue  # malformed — leave in place (parse will skip)
-            pt = _aes.decrypt_cbc(key_for(num, gen), ct[:16], ct[16:])
-            if pt is None:
-                continue
-            d_start, d_end = base + sm.start(1), base + sm.end(1)
-            interior = payload[d_start:d_end]
-            ln_b = str(len(pt)).encode()
-            new_interior = _LENGTH_RE.sub(
-                b"/Length " + ln_b, interior, count=1
-            )
-            if new_interior == interior:  # indirect or absent /Length
-                new_interior = interior + b" /Length " + ln_b + b" "
-            parts.append(payload[pos:d_start])
-            parts.append(new_interior)
-            parts.append(payload[d_end:start])
-            parts.append(pt)
-            pos = end
-    parts.append(payload[pos:])
-    return b"".join(parts)
+    if len(ct) < 32 or len(ct) % 16:
+        return None
+    return _aes.decrypt_cbc(key, ct[:16], ct[16:])
 
 
-def _decrypt_payload(payload: bytes) -> bytes | None:
-    """Decrypt every stream body of a standard-handler RC4 file
-    in-place; None when the file is encrypted but not decryptable here
+def _decrypt_payload(payload: bytes, objs: list[re.Match],
+                     streams: list[_Stream]) -> bool:
+    """Decrypt the stream table of a standard-security-handler file
+    (RC4, RC4 through a V4 crypt filter, AESV2 or AESV3; empty user
+    password): one walk in file order replaces each body inside an
+    object, except the encryption dict's own, by its plaintext under
+    that object's key. False when the file is encrypted but not decryptable here
     (unsupported handler/version, or the user password isn't empty —
     the caller extracts no text rather than mojibake)."""
-    objs = list(_OBJGEN_RE.finditer(payload))
     enc = None
     enc_num = -1
     em = _ENC_REF_RE.search(payload)
@@ -491,7 +548,7 @@ def _decrypt_payload(payload: bytes) -> bytes | None:
         if im:
             enc = im.group(1)
     if enc is None or b"/Standard" not in enc:
-        return None
+        return False
     V = _enc_int(enc, b"V", 0)
     R = _enc_int(enc, b"R", 0)
     if V in (1, 2) and R in (2, 3):
@@ -503,67 +560,60 @@ def _decrypt_payload(payload: bytes) -> bytes | None:
     elif V == 5 and R in (5, 6) and b"/AESV3" in enc:
         mode = "aesv3"  # AES-256-CBC, SHA-2 key derivation
     else:
-        return None
+        return False
     sm_ = re.search(rb"/StmF\s*/([^\s/\[\]()<>{}%]+)", enc)
     if sm_ is not None and sm_.group(1) != b"StdCF":
-        return None  # streams routed to a non-standard crypt filter
+        return False  # streams routed to a non-standard crypt filter
 
     if mode == "aesv3":
         fkey = _aes_file_key_v5(enc, R)
         if fkey is None or len(fkey) != 32:
-            return None
-        return _rebuild_aes_decrypted(
-            payload, objs, enc_num, lambda num, gen: fkey
-        )
-
-    O = _enc_string(enc, b"O")
-    U = _enc_string(enc, b"U")
-    if O is None or U is None or len(O) < 32 or len(U) < 16:
-        return None
-    P = _enc_int(enc, b"P", -1)
-    # AESV2 keys are 128-bit by definition; /Length inside the nested
-    # /CF dict is in BYTES and would shadow the top-level bit count
-    if mode == "aesv2":
-        nbits = 128
-    elif mode == "rc4v4":
-        cf = re.search(rb"/StdCF\s*<<(.*?)>>", enc, re.S)
-        nbits = 8 * (_enc_int(cf.group(1), b"Length", 16) if cf else 16)
-    elif V == 2:
-        nbits = _enc_int(enc, b"Length", 40)
+            return False
+        obj_key, cipher = (lambda num, gen: fkey), _aes_cbc
     else:
-        nbits = 40
-    idm = _ID_RE.search(payload)
-    id0 = b""
-    if idm:
-        h = re.sub(rb"\s", b"", idm.group(1))
-        if len(h) % 2:
-            h += b"0"  # odd digit count → trailing zero (spec); total
-        id0 = bytes.fromhex(h.decode("ascii"))
-    key = _std_file_key(O, P, id0, R, nbits)
-    if not _check_user_password(key, U, id0, R):
-        return None
-    if mode == "aesv2":
-        return _rebuild_aes_decrypted(
-            payload, objs, enc_num,
-            lambda num, gen: _aes_obj_key(key, num, gen),
-        )
-    out = bytearray(payload)
-    for m in objs:
-        num, gen = int(m.group(1)), int(m.group(2))
-        if num == enc_num:
+        O = _enc_string(enc, b"O")
+        U = _enc_string(enc, b"U")
+        if O is None or U is None or len(O) < 32 or len(U) < 16:
+            return False
+        P = _enc_int(enc, b"P", -1)
+        # AESV2 keys are 128-bit by definition; /Length in the nested
+        # /CF dict is in BYTES and would shadow the top-level bit count
+        if mode == "aesv2":
+            nbits = 128
+        elif mode == "rc4v4":
+            cf = re.search(rb"/StdCF\s*<<(.*?)>>", enc, re.S)
+            nbits = 8 * (_enc_int(cf.group(1), b"Length", 16) if cf else 16)
+        elif V == 2:
+            nbits = _enc_int(enc, b"Length", 40)
+        else:
+            nbits = 40
+        idm = _ID_RE.search(payload)
+        id0 = _hex_bytes(idm.group(1)) if idm else b""
+        key = _std_file_key(O, P, id0, R, nbits)
+        if not _check_user_password(key, U, id0, R):
+            return False
+        if mode == "aesv2":
+            obj_key, cipher = partial(_aes_obj_key, key), _aes_cbc
+        else:
+            obj_key, cipher = partial(_obj_key, key), _rc4
+
+    done = 0  # end of the last decrypted range: plaintexts never overlap
+    for s in sorted((s for s in streams if s.obj is not None),
+                    key=lambda s: s.start):  # outside objects: no key
+        m = objs[s.obj]
+        num = int(m.group(1))
+        if num == enc_num or s.start < done:
             continue  # the encryption dict itself is never encrypted
-        base = m.start(3)
-        body = m.group(3)
-        for sm in _STREAM_RE.finditer(body):
-            start, end = base + sm.start(2), base + sm.end(2)
-            lm = _LENGTH_RE.search(sm.group(1))
-            if lm:  # binary bodies: trust /Length over the pattern end
-                ln = int(lm.group(1))
-                if start + ln <= len(payload):
-                    end = start + ln
-            ok = _obj_key(key, num, gen)
-            out[start:end] = _rc4(ok, bytes(out[start:end]))
-    return bytes(out)
+        ct = s.declared()
+        pt = cipher(obj_key(num, int(m.group(2))), ct)
+        if pt is None:
+            continue
+        done = s.start + len(ct)
+        # /Length now declares the plaintext; the captured bytes past
+        # an under-declared /Length stay
+        s.src = pt + s.src[done : s.start + s.cap]
+        s.start, s.size, s.cap = 0, len(pt), len(s.src)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -571,40 +621,44 @@ def _decrypt_payload(payload: bytes) -> bytes | None:
 # resources → ToUnicode / Differences per font name, switched by Tf
 # ---------------------------------------------------------------------------
 
-_OBJ_RE = re.compile(rb"(\d+)\s+\d+\s+obj\b(.*?)\bendobj", re.S)
 _FONT_RES_RE = re.compile(rb"/Font\s*<<(.*?)>>", re.S)
 _FONT_REF_RE = re.compile(rb"/([^\s/\[\]()<>{}%]+)\s+(\d+)\s+\d+\s+R")
 _TOUNICODE_RE = re.compile(rb"/ToUnicode\s+(\d+)\s+\d+\s+R")
 
 
-def _font_maps(payload: bytes) -> dict[bytes, tuple[dict | None, dict | None]]:
+def _font_maps(objs: list[re.Match], streams: list[_Stream],
+               members: list[tuple[int, bytes]],
+               ) -> dict[bytes, tuple[dict | None, dict | None]]:
     """Resolve each /Font resource name to its own (ToUnicode CMap,
-    /Differences) pair by following indirect references through an
-    xref-free object scan. Returns {} when no font resources resolve
-    (the caller then falls back to the merged document-level maps).
-    Objects hidden in object streams don't resolve — same fallback."""
-    objs: dict[int, bytes] = {}
-    for m in _OBJ_RE.finditer(payload):
-        objs.setdefault(int(m.group(1)), m.group(2))
+    /Differences) pair by following indirect references through the
+    object index: the file's objects, then the ObjStm members, the
+    first object with a number winning. Returns {} when no font
+    resources resolve (the caller then falls back to the merged
+    document-level maps)."""
+    first: dict[int, _Stream] = {}
+    for s in streams:
+        if s.obj is not None:
+            first.setdefault(s.obj, s)
+    index: dict[int, tuple[bytes, _Stream | None]] = {}
+    for i, m in enumerate(objs):
+        index.setdefault(int(m.group(1)), (m.group(3), first.get(i)))
+    for num, body in members:
+        index.setdefault(num, (body, None))
     fonts: dict[bytes, tuple[dict | None, dict | None]] = {}
-    for body in objs.values():
+    for body, _ in index.values():
         for res in _FONT_RES_RE.finditer(body):
             for ref in _FONT_REF_RE.finditer(res.group(1)):
                 name, num = b"/" + ref.group(1), int(ref.group(2))
-                fobj = objs.get(num)
+                fobj = index.get(num)
                 if fobj is None or name in fonts:
                     continue
                 cmap = None
-                tm = _TOUNICODE_RE.search(fobj)
+                tm = _TOUNICODE_RE.search(fobj[0])
                 if tm:
-                    tobj = objs.get(int(tm.group(1)))
-                    if tobj is not None:
-                        sm = _STREAM_RE.search(tobj)
-                        if sm:
-                            cbody = _decoded_stream_body(tobj, sm)
-                            if cbody is not None:
-                                cmap = parse_tounicode_cmap(cbody) or None
-                diffs = parse_differences(fobj) or None
+                    _, stream = index.get(int(tm.group(1)), (b"", None))
+                    if stream is not None:
+                        cmap = stream.cmap() or None
+                diffs = parse_differences(fobj[0]) or None
                 fonts[name] = (cmap, diffs)
     return fonts
 
@@ -891,10 +945,7 @@ def _parse_content(
         if c == 0x3C:  # hex string
             m = _HEX_RE.match(data, i)
             if m:
-                h = re.sub(rb"\s", b"", m.group(1))
-                if len(h) % 2:
-                    h += b"0"  # odd digit count → trailing zero (spec)
-                stack.append(bytes.fromhex(h.decode("ascii")))
+                stack.append(_hex_bytes(m.group(1)))
                 i = m.end()
             else:
                 i += 1
@@ -931,41 +982,31 @@ def _parse_content(
         i = m.end()
         if op == b"BI":  # inline image: skip BI…ID…EI as one opaque span
             m2 = _INLINE_ID_RE.search(data, i)
-            if m2 is None:
-                # a bare BI with no ID anywhere after it is a corrupt /
-                # false-positive operator (e.g. one flipped byte), not
-                # an image — treat it as unknown and keep tokenizing
-                # instead of dropping every later block in the stream
-                stack.clear()
-            else:
+            # a bare BI with no ID anywhere after it is a corrupt /
+            # false-positive operator (e.g. one flipped byte), not an
+            # image — keep tokenizing instead of dropping every later
+            # block in the stream
+            if m2 is not None:
                 m3 = (_INLINE_EI_RE.search(data, m2.end())
                       or _INLINE_EI_BARE_RE.search(data, m2.end()))
                 # no EI at all → truncated image at stream end; only
                 # then is dropping the (empty) remainder correct
                 i = n if m3 is None else m3.end()
-            stack.clear()
-        elif op == b"BT":
+        elif op in (b"BT", b"ET"):
             flush()
-            stack.clear()
-        elif op == b"ET":
-            flush()
-            stack.clear()
         elif op == b"Tj":
             if stack and isinstance(stack[-1], bytes):
                 show(stack.pop())
-            stack.clear()
         elif op == b"TJ":
             if stack and isinstance(stack[-1], list):
                 for el in stack.pop():
                     if isinstance(el, bytes):
                         show(el)  # kerning numbers concatenate
-            stack.clear()
         elif op in (b"'", b'"'):
             if stack and isinstance(stack[-1], bytes):
                 s = stack.pop()
                 newline()
                 show(s)
-            stack.clear()
         elif op == b"Tf":
             if fonts:
                 name = next(
@@ -977,84 +1018,43 @@ def _parse_content(
                     active[0], active[1] = fonts[name]
                 else:  # unresolvable font → document-level maps
                     active[0], active[1] = cmap, diffs
-            stack.clear()
         elif op in (b"Td", b"TD"):
             ty = stack[-1] if stack and isinstance(stack[-1], float) else 0.0
             if ty != 0.0:
                 newline()
-            stack.clear()
         elif op in (b"T*", b"Tm"):
             newline()
-            stack.clear()
-        else:  # Tf/TL/Tc/Tw/graphics/... — operands consumed, no text
-            stack.clear()
+        # every operator consumes its operands; TL/Tc/Tw/graphics/…
+        # show no text
+        stack.clear()
     flush()
     return blocks
 
 
-def _decoded_stream_body(payload: bytes, m: re.Match) -> bytes | None:
-    """Decode one matched stream object's body; None if undecodable.
-
-    Honors /Length for BINARY bodies: the pattern's optional EOL
-    before `endstream` would otherwise eat a trailing 0x0D/0x0A data
-    byte — the exact ambiguity /Length exists to resolve (spec
-    §7.3.8.1). Direct integer lengths only. Tries the declared slice
-    FIRST, then the pattern capture (tolerates the common malformation
-    of an under-declared /Length — zlib and the EOD-marked filters
-    ignore trailing bytes). The /Filter chain decodes in array
-    order; a chain this subset can't decode skips the stream."""
-    dict_src, captured = m.group(1), m.group(2)
-    chain = _stream_filter_chain(dict_src)
-    if chain is None:
-        return None  # image codec / predictor / unknown — not text
-    if not chain:
-        return captured
-    candidates = []
-    lm = _LENGTH_RE.search(dict_src)
-    if lm:
-        start = m.start(2)
-        length = int(lm.group(1))
-        if start + length <= len(payload):
-            candidates.append(payload[start : start + length])
-    candidates.append(captured)
-    for body in candidates:
-        try:
-            return _apply_filter_chain(body, chain, dict_src)
-        except (ValueError, zlib.error):
-            continue
-    return None
-
-
 _OBJSTM_TYPE_RE = re.compile(rb"/Type\s*/ObjStm\b")
-_XREF_TYPE_RE = re.compile(rb"/Type\s*/XRef\b")
+_STRUCTURE_TYPE_RE = re.compile(rb"/Type\s*/(?:ObjStm|XRef)\b")
 _OBJSTM_N_RE = re.compile(rb"/N\s+(\d+)(?!\d)")
 _OBJSTM_FIRST_RE = re.compile(rb"/First\s+(\d+)(?!\d)")
 
 
-def _expand_object_streams(payload: bytes) -> bytes:
-    """Reconstruct the non-stream objects packed inside ``/Type
-    /ObjStm`` object streams (spec §7.5.7) as plain ``N 0 obj …
-    endobj`` text appended to the payload, so the xref-free object
-    scan (`_font_maps`, `parse_differences`) resolves font dicts and
-    encoding tables that modern writers compress there. Content
-    streams and ToUnicode CMaps cannot live in an ObjStm (they are
-    streams), so this is purely DICTIONARY visibility — the content
-    pass is unchanged. Malformed object streams are skipped
-    (per-stream isolation); the appended text contains no ``stream``
-    keyword, so re-scanning the expanded payload finds no new
-    streams."""
-    if b"/ObjStm" not in payload:
-        return payload
-    extra: list[bytes] = []
-    for m in _STREAM_RE.finditer(payload):
-        d = m.group(1)
-        if not _OBJSTM_TYPE_RE.search(d):
+def _objstm_members(streams: list[_Stream]) -> list[tuple[int, bytes]]:
+    """The non-stream objects packed inside ``/Type /ObjStm`` object
+    streams (spec §7.5.7), as (object number, body) pairs in stream
+    order, so font dicts and encoding tables that modern writers
+    compress there resolve per-font. Content streams and ToUnicode
+    CMaps cannot live in an ObjStm (they are streams), so a member is
+    never read as one. Malformed object streams are skipped
+    (per-stream isolation)."""
+    members: list[tuple[int, bytes]] = []
+    for s in streams:
+        d = s.dict_src
+        if not s.top or not _OBJSTM_TYPE_RE.search(d):
             continue
         nm = _OBJSTM_N_RE.search(d)
         fm = _OBJSTM_FIRST_RE.search(d)
         if not nm or not fm:
             continue
-        body = _decoded_stream_body(payload, m)
+        body = s.body()
         if body is None:
             continue
         n, first = int(nm.group(1)), int(fm.group(1))
@@ -1074,61 +1074,53 @@ def _expand_object_streams(payload: bytes) -> bytes:
         for i, (num, off) in enumerate(pairs):
             start = first + off
             end = first + pairs[i + 1][1] if i + 1 < n else len(body)
-            if not 0 <= start <= end <= len(body):
-                continue
-            extra.append(b"\n%d 0 obj\n" % num + body[start:end]
-                         + b"\nendobj\n")
-    return payload + b"".join(extra) if extra else payload
+            if 0 <= start <= end <= len(body):
+                members.append((num, body[start:end]))
+    return members
 
 
 def extract_pdf_blocks(payload: bytes) -> list[str]:
     """All text blocks in document order (one per BT…ET text object).
 
-    Two passes over the scan-discovered streams (xref-free): pass 1
-    decodes every body (FlateDecode inflated; undecodable streams are
-    skipped — per-stream isolation, one corrupt stream never hides the
-    rest) and merges any ToUnicode CMap streams into one document-level
-    code map; pass 2 parses the remaining streams as content with that
-    map active. Payloads with no stream objects at all fall back to a
-    raw scan of the whole body (bare content fragments). Encrypted
-    files (standard security handler, RC4, empty user password) are
-    decrypted up front; encrypted files this subset can't open yield
-    no blocks rather than ciphertext mojibake."""
-    if b"/Encrypt" in payload:
-        dec = _decrypt_payload(payload)
-        if dec is None:
-            return []
-        payload = dec
-    payload = _expand_object_streams(payload)
-    bodies: list[bytes] = []
-    found = False
-    for m in _STREAM_RE.finditer(payload):
-        found = True
-        # object/xref streams are structure, never content: ObjStm
-        # bodies were expanded above; a predictor-less XRef stream
-        # would otherwise inflate to binary soup in the content pass
-        d = m.group(1)
-        if _OBJSTM_TYPE_RE.search(d) or _XREF_TYPE_RE.search(d):
-            continue
-        body = _decoded_stream_body(payload, m)
-        if body is not None:
-            bodies.append(body)
-    # simple-font /Differences tables live in (uncompressed) font
-    # dicts — scan the raw payload once; compressed font objects
-    # (object streams) are out of scope, documented above
-    diffs = parse_differences(payload) or None
-    if not found:
-        return _parse_content(payload, None, diffs)
+    One scan builds the objects and stream table (:func:`_scan`). An
+    encrypted file (standard security handler, RC4 or AES, empty user
+    password) has the table's bodies decrypted; one this subset can't
+    open yields no blocks rather than ciphertext mojibake. Every
+    stream but ObjStm/XRef structure is decoded once (undecodable ones
+    are skipped — per-stream isolation): ToUnicode CMaps merge into
+    one document-level code map, the rest parse as content with it
+    and the per-font maps active. Payloads with no stream objects at
+    all fall back to a raw scan of the whole body (bare content
+    fragments)."""
+    objs, streams = _scan(payload)
+    if b"/Encrypt" in payload and not _decrypt_payload(payload, objs, streams):
+        return []
+    members = _objstm_members(streams)
+    # simple-font /Differences tables live in font dicts: the file's
+    # and the ObjStm members', later tables overriding earlier codes
+    diffs = parse_differences(payload)
+    for _, body in members:
+        diffs.update(parse_differences(body))
+    if not streams:
+        return _parse_content(payload, None, diffs or None)
     cmap: dict[int, str] = {}
     content: list[bytes] = []
-    for body in bodies:
+    for s in streams:
+        # structure, never content: a predictor-less XRef stream would
+        # otherwise inflate to binary soup
+        if not s.top or _STRUCTURE_TYPE_RE.search(s.dict_src):
+            continue
+        body = s.body()
+        if body is None:
+            continue
         if any(k in body for k in _CMAP_KEYWORDS):
-            cmap.update(parse_tounicode_cmap(body))
+            cmap.update(s.cmap())
         else:
             content.append(body)
     # per-font resolution (Tf switching); {} → document-level fallback
-    fonts = _font_maps(payload)
+    fonts = _font_maps(objs, streams, members)
     blocks: list[str] = []
     for body in content:
-        blocks.extend(_parse_content(body, cmap or None, diffs, fonts or None))
+        blocks.extend(_parse_content(body, cmap or None, diffs or None,
+                                     fonts or None))
     return blocks

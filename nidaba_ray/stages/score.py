@@ -43,7 +43,16 @@ __all__ = [
 
 CHROME_WEIGHT = 0.1  # score multiplier for blocks inside nav/aside/footer/header
 CHROME_SAT = 50.0    # chrome text evidence saturates at this many chars
-N_BINS = 64
+N_BINS = 64          # Otsu histogram bins
+SMOOTH_ALPHA = 0.25  # share of its neighbors' scores that boosts a block
+CELL_BOOST_CAP = 3.0   # a table cell's boost is at most this × its score
+ISOLATED_FRAC = 0.15   # runs below this × the page max are dropped
+SAUVOLA_WINDOW = 5   # blocks in the local window
+SAUVOLA_K = 0.34
+SAUVOLA_R = 4.0
+NLBIN_LOW = 5.0      # the percentiles stretched to [0, 1] ...
+NLBIN_HIGH = 90.0
+NLBIN_THRESHOLD = 0.5  # ... and the cut on that scale
 
 
 def block_features(blocks) -> dict[str, np.ndarray]:
@@ -89,8 +98,7 @@ def block_scores(feat: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def smooth_scores(scores: np.ndarray, feat: dict[str, np.ndarray],
-                  offsets: np.ndarray | None = None,
-                  alpha: float = 0.25, beta: float = 3.0) -> np.ndarray:
+                  offsets: np.ndarray | None = None) -> np.ndarray:
     """Context boost (boilerpipe-style): a content-shaped block
     (non-chrome, low link density) adjacent to high-scoring blocks is
     almost certainly content even if short — add a fraction of its
@@ -98,16 +106,16 @@ def smooth_scores(scores: np.ndarray, feat: dict[str, np.ndarray],
     boilerplate class of the histogram. Chrome / link-heavy blocks are
     never boosted (the boost must not leak into site furniture).
 
-    For TABLE CELLS the boost is capped at ``beta``× the cell's own
-    score. Prose blocks read in document order, so adjacency is strong
-    continuity evidence and a genuinely tiny trailing paragraph should
-    ride its neighbors' mass — but a grid serializes row-major, its
-    document-order neighbors are not its visual neighbors, so context
-    may AMPLIFY a cell's own evidence, never fabricate it. Without the
-    cap a near-empty cell (a bare day-number in a calendar grid)
-    sandwiched between two populated cells crosses the threshold on
-    neighbor mass alone; with it, worded cells (own score ≥ a few
-    chars) still chain normally. Real-page fixtures
+    For TABLE CELLS the boost is capped at ``CELL_BOOST_CAP``× the
+    cell's own score. Prose blocks read in document order, so adjacency
+    is strong continuity evidence and a genuinely tiny trailing
+    paragraph should ride its neighbors' mass — but a grid serializes
+    row-major, its document-order neighbors are not its visual
+    neighbors, so context may AMPLIFY a cell's own evidence, never
+    fabricate it. Without the cap a near-empty cell (a bare day-number
+    in a calendar grid) sandwiched between two populated cells crosses
+    the threshold on neighbor mass alone; with it, worded cells (own
+    score ≥ a few chars) still chain normally. Real-page fixtures
     ``event_calendar_grid`` (bare cells drop) and ``data_table`` /
     ``giant_data_table`` (worded cells keep) pin both sides.
 
@@ -125,14 +133,14 @@ def smooth_scores(scores: np.ndarray, feat: dict[str, np.ndarray],
     nxt = np.concatenate((scores[1:], [0.0]))
     nxt[offsets[1:][counts > 0] - 1] = 0.0
     eligible = (~feat["chrome"]) & (feat["link_density"] < 0.33) & (scores > 0)
-    boost = alpha * (prev + nxt)
-    boost = np.where(feat["cell"], np.minimum(boost, beta * scores), boost)
+    boost = SMOOTH_ALPHA * (prev + nxt)
+    boost = np.where(feat["cell"], np.minimum(boost, CELL_BOOST_CAP * scores),
+                     boost)
     return np.where(eligible, scores + boost, scores)
 
 
 def suppress_isolated(raw: np.ndarray, smoothed: np.ndarray,
-                      offsets: np.ndarray | None = None,
-                      frac: float = 0.15) -> np.ndarray:
+                      offsets: np.ndarray | None = None) -> np.ndarray:
     """Zero out *isolated weak runs*: contiguous stretches of
     positive-score blocks whose combined mass is small relative to the
     page's top block — "Load more" stubs, orphan feed placeholders,
@@ -162,7 +170,7 @@ def suppress_isolated(raw: np.ndarray, smoothed: np.ndarray,
     after_pos[offsets[:-1][live]] = False
     run_id = np.cumsum(pos & ~after_pos) * pos  # 0 marks non-positive gaps
     run_sum = np.bincount(run_id, weights=raw)[run_id]
-    weak = pos & (run_sum < frac * mx)
+    weak = pos & (run_sum < ISOLATED_FRAC * mx)
     return np.where(weak, 0.0, smoothed)
 
 
@@ -181,8 +189,7 @@ def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, np.arange(len(row)) - (np.cumsum(lengths) - lengths)[row]
 
 
-def _otsu_thresholds(ls: np.ndarray, offsets: np.ndarray,
-                     n_bins: int = N_BINS) -> np.ndarray:
+def _otsu_thresholds(ls: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per page: Otsu's threshold over its log1p-score histogram, in raw
     score space; ``-1.0`` for a single-level or empty page.
 
@@ -207,15 +214,15 @@ def _otsu_thresholds(ls: np.ndarray, offsets: np.ndarray,
     if len(pages) == 0:
         return t
     lo, hi = lo[split], hi[split]
-    edges = np.linspace(lo, hi, n_bins + 1, axis=1)
+    edges = np.linspace(lo, hi, N_BINS + 1, axis=1)
     row, i = _runs(counts[pages])
     x = ls[offsets[pages][row] + i]
-    b = ((x - lo[row]) / (hi - lo)[row] * n_bins).astype(np.intp)
-    b[b == n_bins] -= 1
+    b = ((x - lo[row]) / (hi - lo)[row] * N_BINS).astype(np.intp)
+    b[b == N_BINS] -= 1
     b[x < edges[row, b]] -= 1
-    b[(x >= edges[row, b + 1]) & (b != n_bins - 1)] += 1
-    hist = np.bincount(row * n_bins + b, minlength=len(pages) * n_bins)
-    p = hist.reshape(len(pages), n_bins) / counts[pages][:, None]
+    b[(x >= edges[row, b + 1]) & (b != N_BINS - 1)] += 1
+    hist = np.bincount(row * N_BINS + b, minlength=len(pages) * N_BINS)
+    p = hist.reshape(len(pages), N_BINS) / counts[pages][:, None]
     centers = (edges[:, :-1] + edges[:, 1:]) / 2.0
     w0 = np.cumsum(p, axis=1)
     w1 = 1.0 - w0
@@ -230,14 +237,14 @@ def _otsu_thresholds(ls: np.ndarray, offsets: np.ndarray,
     return t
 
 
-def otsu_threshold(scores: np.ndarray, n_bins: int = N_BINS) -> float:
+def otsu_threshold(scores: np.ndarray) -> float:
     """Otsu's method over log1p(score) histogram: the threshold (in log
     space) maximizing between-class variance. Returns the threshold in
     *raw score* space (``-1.0`` for a single-level page). Faithful to
     the classic algorithm (public knowledge), applied to block scores
     instead of pixels."""
     offsets = _page_offsets(scores, None)
-    return float(_otsu_thresholds(np.log1p(scores), offsets, n_bins)[0])
+    return float(_otsu_thresholds(np.log1p(scores), offsets)[0])
 
 
 def _nonempty(keep: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -337,15 +344,14 @@ def _window_sums(ls: np.ndarray, offsets: np.ndarray, pages: np.ndarray,
     return s1, s2
 
 
-def keep_local_sauvola(
-    scores: np.ndarray, offsets: np.ndarray | None = None, window: int = 5,
-    k: float = 0.34, r: float = 4.0,
-) -> np.ndarray:
+def keep_local_sauvola(scores: np.ndarray,
+                       offsets: np.ndarray | None = None) -> np.ndarray:
     """Variant B — Sauvola-style local adaptive threshold, over one or
     several back-to-back pages (``offsets`` as in ``keep_global_otsu``).
 
     T_i = m_i · (1 + k·(s_i/R − 1)) over a centered window of
-    ``window`` blocks in reading order (m=mean, s=std of log1p scores);
+    ``SAUVOLA_WINDOW`` blocks in reading order (m=mean, s=std of log1p
+    scores, k = ``SAUVOLA_K``, R = ``SAUVOLA_R``);
     keep block i if log1p(score_i) > T_i, score > 0, AND above a global
     floor of 25% of the page's max log-score (the analog of Sauvola's
     dependence on the global dynamic range R — a purely local rule
@@ -361,24 +367,23 @@ def keep_local_sauvola(
     peak = np.zeros(len(counts))
     peak[live] = np.maximum.reduceat(ls, offsets[live])
     # windowed mean/std via cumulative sums (vectorized, O(n))
-    s1, s2 = _window_sums(ls, offsets, live, window)
-    m = s1 / window
-    var = np.maximum(s2 / window - m * m, 0.0)
+    s1, s2 = _window_sums(ls, offsets, live, SAUVOLA_WINDOW)
+    m = s1 / SAUVOLA_WINDOW
+    var = np.maximum(s2 / SAUVOLA_WINDOW - m * m, 0.0)
     s = np.sqrt(var)
-    t = m * (1.0 + k * (s / r - 1.0))
+    t = m * (1.0 + SAUVOLA_K * (s / SAUVOLA_R - 1.0))
     floor = np.repeat(0.25 * peak, counts)
     keep = (ls > t) & (scores > 0) & (ls > floor)
     return _fill_empty_pages(keep, scores, offsets,
                              _kept_per_page(keep, offsets))
 
 
-def keep_nlbin(scores: np.ndarray, low: float = 5.0, high: float = 90.0,
-               threshold: float = 0.5) -> np.ndarray:
+def keep_nlbin(scores: np.ndarray) -> np.ndarray:
     """Variant C — kraken-nlbin-style percentile normalization
     (nidaba plugins/kraken.py nlbin exposes perc/low/high/threshold
     knobs, UNVERIFIED per SURVEY.md §0): flatten the page's dynamic
-    range to [0,1] between the ``low``/``high`` percentiles of the
-    positive log-scores, keep blocks above ``threshold``. A third
+    range to [0,1] between the ``NLBIN_LOW``/``NLBIN_HIGH`` percentiles
+    of the positive log-scores, keep blocks above ``NLBIN_THRESHOLD``. A third
     ensemble member for the vote — agrees with Otsu on clean pages,
     differs on pages with a compressed score range."""
     n = len(scores)
@@ -400,10 +405,10 @@ def keep_nlbin(scores: np.ndarray, low: float = 5.0, high: float = 90.0,
             pos[i] + frac * (pos[i + 1] - pos[i])
         )
 
-    lo = _pct(low)
-    hi = _pct(high)
+    lo = _pct(NLBIN_LOW)
+    hi = _pct(NLBIN_HIGH)
     if hi - lo < 1e-12:
         return scores > 0
     norm = np.clip((ls - lo) / (hi - lo), 0.0, 1.0)
-    keep = (norm > threshold) & (scores > 0)
+    keep = (norm > NLBIN_THRESHOLD) & (scores > 0)
     return _nonempty(keep, scores)

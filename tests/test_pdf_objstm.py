@@ -1,7 +1,8 @@
-"""PDF object-stream expansion (stages/pdf.py round 5): font dicts
+"""PDF object streams and the stream table (stages/pdf.py): font dicts
 compressed into /Type /ObjStm resolve per-font; /Type /XRef streams
 are structure, never content; malformed object streams degrade
-gracefully."""
+gracefully; each document is scanned once and each stream body
+decoded at most once."""
 
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ def test_objstm_expansion_is_load_bearing(monkeypatch):
     text = "mixed fonts: café — 北京 ü €uro abcdef"
     doc = synth.make_pdf_objstm(7, text)
     assert " ".join(P.extract_pdf_blocks(doc)) == text
-    monkeypatch.setattr(P, "_expand_object_streams", lambda p: p)
+    monkeypatch.setattr(P, "_objstm_members", lambda streams: [])
     assert " ".join(P.extract_pdf_blocks(doc)) != text
 
 
@@ -101,5 +102,138 @@ def test_objstm_nonint_header_degrades():
 
 
 def test_expand_noop_fast_path():
-    doc = b"%PDF-1.4 no object streams here"
-    assert P._expand_object_streams(doc) is doc
+    """A document without object streams decodes nothing for them; one
+    with an ObjStm yields its packed members."""
+    _, streams = P._scan(b"%PDF-1.4 no object streams here")
+    assert P._objstm_members(streams) == []
+    _, streams = P._scan(synth.make_pdf_twofont(7, "abc"))
+    assert P._objstm_members(streams) == []
+    assert all(s._body is P._UNSET for s in streams)
+    _, streams = P._scan(synth.make_pdf_objstm(7, "abc"))
+    nums = [num for num, _ in P._objstm_members(streams)]
+    assert nums and len(set(nums)) == len(nums)
+
+
+def test_objstm_member_is_never_read_as_a_stream():
+    """An object stream cannot contain a stream: member bytes that look
+    like one stay out of the content pass."""
+    header = b"5 0 "
+    comp = zlib.compress(
+        header + b"<< /A 1 >> stream\nBT (phantom) Tj ET\nendstream")
+    doc = (
+        b"%PDF-1.5\n"
+        b"20 0 obj << /Type /ObjStm /N 1 /First "
+        + str(len(header)).encode() + b" /Length " + str(len(comp)).encode()
+        + b" /Filter /FlateDecode >> stream\n" + comp
+        + b"\nendstream endobj\n"
+        b"3 0 obj << /Length 20 >> stream\nBT (real text) Tj ET\n"
+        b"endstream endobj\n%%EOF\n"
+    )
+    assert P.extract_pdf_blocks(doc) == ["real text"]
+
+
+class _Counting:
+    """A compiled pattern that counts the scans made with it."""
+
+    def __init__(self, rx):
+        self.rx, self.calls = rx, 0
+
+    def __getattr__(self, name):
+        def scan(*args, **kwargs):
+            self.calls += 1
+            return getattr(self.rx, name)(*args, **kwargs)
+        return scan
+
+
+@pytest.mark.parametrize("make", [
+    synth.make_pdf_objstm, synth.make_pdf_twofont,
+    synth.make_pdf_rc4, synth.make_pdf_aes,
+])
+def test_one_scan_per_document_and_one_decode_per_stream(make, monkeypatch):
+    """extract_pdf_blocks runs the stream pattern and the object
+    pattern once each over the document, and decodes each stream body
+    at most once — decryption, object streams, CMaps, fonts and the
+    content pass all read the one stream table."""
+    text = "mixed fonts: café — 北京 ü €uro abcdef"
+    doc = make(7, text)
+    want = P.extract_pdf_blocks(doc)
+    assert " ".join(want) == text
+    streams = _Counting(P._STREAM_RE)
+    objects = _Counting(P._OBJGEN_RE)
+    monkeypatch.setattr(P, "_STREAM_RE", streams)
+    monkeypatch.setattr(P, "_OBJGEN_RE", objects)
+    assert P.extract_pdf_blocks(doc) == want
+    assert (streams.calls, objects.calls) == (1, 1)
+    assert not hasattr(P, "_OBJ_RE")
+    decoded = []
+    decode = P._Stream._decode
+
+    def counting_decode(self):
+        decoded.append(id(self))
+        return decode(self)
+
+    monkeypatch.setattr(P._Stream, "_decode", counting_decode)
+    assert P.extract_pdf_blocks(doc) == want
+    assert decoded and len(decoded) == len(set(decoded))
+
+
+@pytest.mark.parametrize("make", [synth.make_pdf_twofont,
+                                  synth.make_pdf_objstm])
+def test_damaged_endstream_keeps_the_streams_it_swallows(make):
+    """A damaged ``endstream`` lets the first stream's match run on to
+    the next object's ``endstream``. That object's ToUnicode CMap is
+    still its own, so its font still resolves."""
+    text = "mixed fonts: café — 北京 ü €uro abcdef"
+    doc = make(7, text)
+    i = doc.index(b"endstream")
+    bad = doc[:i] + b"endstrXam" + doc[i + len(b"endstream"):]
+
+    def fonts(b):
+        objs, streams = P._scan(b)
+        return P._font_maps(objs, streams, P._objstm_members(streams))
+
+    good, got = fonts(doc), fonts(bad)
+    swallowed = [name for name in good if got[name][0]]
+    assert len(swallowed) == 1 and len(good) == 2
+    assert got[swallowed[0]] == good[swallowed[0]]
+    assert "京" in "".join(P.extract_pdf_blocks(bad))
+
+
+def _far_length_streams(n: int) -> bytes:
+    """``n`` tiny objects whose /Length each reaches half the file."""
+    reach = 25 * n
+    return b"".join(
+        b"%d 0 obj << /Length %d /Filter /FlateDecode >> stream\nx\n"
+        b"endstream endobj\n" % (100 + k, reach) for k in range(n))
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_far_reaching_lengths_stay_within_linear_memory(encrypted):
+    """/Length only has to fit in the file, so many streams can declare
+    ranges that overlap. The table holds offsets, decodes one declared
+    slice at a time, and decrypts each byte at most once, so the peak
+    grows with the file, not with streams × /Length. The stream
+    pattern's own backtracking holds ~100 bytes per byte of the file
+    while it fails from an unmatched ``<<`` (an open ROADMAP item); the
+    bound is on what extraction holds beyond that scan."""
+    import tracemalloc
+
+    body = _far_length_streams(2000)
+    if encrypted:  # splice into an RC4 file: same key, more objects
+        base = synth.make_pdf_rc4(7, "kept paragraph")
+        cut = base.index(b"trailer")
+        doc = base[:cut] + body + base[cut:]
+    else:
+        doc = synth.make_pdf(7, "kept paragraph") + body
+    peaks = []
+    for run in (lambda: list(P._STREAM_RE.finditer(doc)),
+                lambda: P.extract_pdf_blocks(doc)):
+        tracemalloc.start()
+        try:
+            out = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert out == ["kept paragraph"]
+    scan, extract = peaks
+    assert extract < scan + 20 * len(doc), (scan, extract, len(doc))

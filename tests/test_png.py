@@ -8,6 +8,7 @@ and malformed-input behavior)."""
 from __future__ import annotations
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -169,6 +170,34 @@ def test_png_malformed_inputs_raise():
              + _chunk(b"IEND", b""))
     with pytest.raises(ValueError, match="size mismatch"):
         decode_png(short)
+
+
+@pytest.mark.parametrize("interlace", [0, 1])
+def test_png_idat_bomb_stops_at_the_header_size(interlace):
+    """An 8x8 header over 64 MiB of inflated zeros: the inflate stops
+    one byte past the size the header implies (summed over the Adam7
+    passes when interlaced), so the size check fails in bounded memory
+    instead of after holding the whole stream."""
+    c = zlib.compressobj(9)
+    bomb = b"".join(c.compress(bytes(1 << 20)) for _ in range(64)) + c.flush()
+    ihdr = struct.pack(">IIBBBBB", 8, 8, 8, 0, 0, 0, interlace)
+    png = (PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", bomb)
+           + _chunk(b"IEND", b""))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="PNG inflated size mismatch"):
+            decode_png(png)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    # a truncated stream keeps zlib's own error
+    cut = (PNG_SIG + _chunk(b"IHDR", ihdr)
+           + _chunk(b"IDAT", zlib.compress(bytes(72))[:-6])
+           + _chunk(b"IEND", b""))
+    with pytest.raises(zlib.error, match="Error -5 while decompressing "
+                       "data: incomplete or truncated stream"):
+        decode_png(cut)
 
 
 def test_png_adam7_hand_built_stream():

@@ -182,6 +182,33 @@ def test_zero_rate_audio_header_is_an_error(make):
         probe_media(payload)
 
 
+def test_probe_png_requires_ihdr_first():
+    """Width and height are read from the first chunk only when it is
+    the 13-byte IHDR the spec puts there."""
+    from nidaba_ray.algorithms.png import encode_png
+
+    good = encode_png(_img())
+    assert probe_media(good)["width"] == 23
+    bad = good[:12] + b"tEXt" + good[16:]
+    with pytest.raises(ValueError, match="IHDR"):
+        probe_media(bad)
+
+
+def test_probe_flac_requires_streaminfo_first():
+    """A FLAC whose first metadata block is typed PADDING is not read
+    as STREAMINFO: the probe raises, as the decoder does."""
+    from nidaba_ray.algorithms.flac import decode_flac, encode_flac
+
+    good = encode_flac(np.zeros(64, np.int16), rate=8000)
+    assert probe_media(good)["sample_rate"] == 8000
+    bad = bytearray(good)
+    bad[4] = (bad[4] & 0x80) | 1  # PADDING, keeping the last-block flag
+    with pytest.raises(ValueError, match="STREAMINFO"):
+        decode_flac(bytes(bad))
+    with pytest.raises(ValueError, match="STREAMINFO"):
+        probe_media(bytes(bad))
+
+
 def test_synth_media_corpus_probes_and_decodes():
     """Every synthetic payload probes with no error, into a container
     the media_probe oracle emits, with the rollup the oracle replays;

@@ -314,7 +314,7 @@ def test_twofont_requires_per_font_resolution(monkeypatch):
 
     doc = synth.make_pdf_twofont(7, "abcdef")
     assert " ".join(P.extract_pdf_blocks(doc)) == "abcdef"
-    monkeypatch.setattr(P, "_font_maps", lambda payload: {})
+    monkeypatch.setattr(P, "_font_maps", lambda objs, streams, members: {})
     merged = " ".join(P.extract_pdf_blocks(doc))
     assert merged != "abcdef"  # collision under the fallback
 
@@ -479,6 +479,8 @@ def test_pdf_kernels_never_raise_on_junk(junk, which):
     from nidaba_ray import synth
     from nidaba_ray.stages.pdf import (
         _font_maps,
+        _objstm_members,
+        _scan,
         extract_pdf_blocks,
         parse_differences,
         parse_tounicode_cmap,
@@ -489,7 +491,8 @@ def test_pdf_kernels_never_raise_on_junk(junk, which):
         b"beginbfchar <1> <234> endbfchar beginbfrange <0> <5> ["
         + junk + b"] endbfrange")
     parse_differences(b"/Differences [ 12 /x " + junk + b" ]")
-    _font_maps(junk)
+    objs, streams = _scan(junk)
+    _font_maps(objs, streams, _objstm_members(streams))
     # splice the junk into a real two-font payload mid-file
     doc = bytearray(synth.make_pdf_twofont(3, "splice target text"))
     pos = min(len(doc) - 1, 40 + which * 150)

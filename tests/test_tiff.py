@@ -8,6 +8,8 @@ FillOrder 2)."""
 from __future__ import annotations
 
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -396,8 +398,6 @@ def test_synth_rotation_alternates_tiff_compressions():
 
 
 def test_tiff_deflate_roundtrip_and_legacy_code():
-    import zlib
-
     a = _img(12, 18, 3, seed=21)
     data = encode_tiff(a, compression="deflate", predictor=2)
     assert struct.pack("<H", 8) in data
@@ -411,3 +411,24 @@ def test_tiff_deflate_roundtrip_and_legacy_code():
     with pytest.raises(ValueError, match="deflate"):
         g = _img(2, 2)
         decode_tiff(_build_tiff("<", 2, 2, [b"not-zlib!"], {}, comp=8))
+
+
+def test_tiff_deflate_bomb_stops_at_the_strip_size():
+    """An 8x8 strip over 64 MiB of inflated zeros: the inflate stops one
+    byte past the strip's rows × row bytes, so the size check fails in
+    bounded memory instead of after holding the whole stream."""
+    c = zlib.compressobj(9)
+    bomb = b"".join(c.compress(bytes(1 << 20)) for _ in range(64)) + c.flush()
+    tif = _build_tiff("<", 8, 8, [bomb], {}, comp=8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="deflate TIFF strip size mismatch"):
+            decode_tiff(tif)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    cut = _build_tiff("<", 8, 8, [zlib.compress(bytes(64))[:-6]], {}, comp=8)
+    with pytest.raises(ValueError, match="deflate TIFF strip: Error -5 while "
+                       "decompressing data: incomplete or truncated stream"):
+        decode_tiff(cut)
