@@ -7,7 +7,8 @@ web, complementing the uncompressed WAV/AIFF containers.
 
 Decoder coverage (everything a real encoder emits for integer PCM):
 
-* STREAMINFO + skipped metadata blocks (padding, vorbis comment, …)
+* STREAMINFO as the first and only such block, then skipped metadata
+  blocks (padding, vorbis comment, …)
 * fixed and variable blocking strategies, all block-size/sample-rate/
   sample-size header codes, UTF-8-coded frame/sample numbers
 * subframes: CONSTANT, VERBATIM, FIXED (orders 0-4), LPC (any order)
@@ -444,27 +445,27 @@ def decode_flac_pcm(payload: bytes) -> tuple[np.ndarray, int, int]:
     if not is_flac(payload):
         raise ValueError("not a FLAC payload")
     pos = 4
-    streaminfo = None
     while True:
         if pos + 4 > len(payload):
             raise ValueError("truncated metadata block header")
         last = payload[pos] & 0x80
         btype = payload[pos] & 0x7F
         (size,) = struct.unpack(">I", b"\x00" + payload[pos + 1:pos + 4])
-        body = payload[pos + 4:pos + 4 + size]
-        if len(body) < size:
+        if pos + 4 + size > len(payload):
             raise ValueError("truncated metadata block")
-        if btype == 0:
-            if size != 34:
-                raise ValueError("bad STREAMINFO size")
-            streaminfo = body
-        elif btype == 127:
+        # STREAMINFO is the first metadata block and only that one, as
+        # probe_media reads it
+        if (btype == 0) != (pos == 4):
+            raise ValueError("first metadata block is not STREAMINFO"
+                             if pos == 4 else "second STREAMINFO block")
+        if btype == 0 and size != 34:
+            raise ValueError("bad STREAMINFO size")
+        if btype == 127:
             raise ValueError("invalid metadata block type")
         pos += 4 + size
         if last:
             break
-    if streaminfo is None:
-        raise ValueError("missing STREAMINFO")
+    streaminfo = payload[8:42]
     sr_default = (struct.unpack(">I", streaminfo[10:14])[0] >> 12) & 0xFFFFF
     n_ch_si = ((streaminfo[12] >> 1) & 0x7) + 1
     bps_si = (((streaminfo[12] & 0x1) << 4) | (streaminfo[13] >> 4)) + 1

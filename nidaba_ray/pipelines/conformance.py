@@ -18,11 +18,6 @@ from nidaba_ray.pipelines.extract import extract_pipeline
 from nidaba_ray.synth import pages_dataset_from_documents
 
 
-def _extracted(sf_dir: str, spell: bool = False) -> rd.Dataset:
-    pages = pages_dataset_from_documents(sf_dir)
-    return extract_pipeline(pages, spell=spell)
-
-
 def _project_identity(batch: pa.Table) -> pa.Table:
     """Non-quarantined (doc_id, text) rows — the identity-gate
     projection shared by every extraction-dialect query."""
@@ -32,114 +27,75 @@ def _project_identity(batch: pa.Table) -> pa.Table:
     return b.select(["doc_id", "text"])
 
 
+def _projected(sf_dir: str, project=_project_identity, spell: bool = False,
+               **variant: str) -> rd.Dataset:
+    """The synthetic pages (in the payload ``variant`` given, as
+    ``pages_dataset_from_documents`` takes it) through the flagship
+    pipeline, each batch through ``project``."""
+    pages = pages_dataset_from_documents(sf_dir, **variant)
+    return extract_pipeline(pages, spell=spell).map_batches(
+        project, batch_format="pyarrow")
+
+
+# Byte-identity gates: extraction must return documents.text exactly
+# (EXTRACT_SQL) with the dialect-slot docs in each payload dialect.
+# pdf4-6, docx and epub are off the 50-entry driver surface and pinned
+# in tests/test_oracle_conformance.py.
+
 def extract_documents(sf_dir: str) -> rd.Dataset:
-    """Full pipeline; returns (doc_id, text) for non-quarantined rows.
-    Byte-identity gate: text must equal documents.text exactly."""
-    return _extracted(sf_dir).map_batches(
-        _project_identity, batch_format="pyarrow"
-    )
+    """HTML pages with plain ``(..) Tj`` PDFs in the PDF slot."""
+    return _projected(sf_dir)
 
 
 EXTRACT_SQL = "SELECT doc_id, text FROM documents WHERE doc_id % 97 <> 13"
 
 
 def extract_documents_pdf2(sf_dir: str) -> rd.Dataset:
-    """Same byte-identity gate, with the PDF payloads synthesized in
-    the compressed-stream variant (FlateDecode + TJ arrays + Td/T*/'
-    line operators, synth.make_pdf_flate) — proves the real PDF subset
-    parser (stages/pdf.py) preserves the identity, not just the plain
-    ``(..) Tj`` dialect."""
-    pages = pages_dataset_from_documents(sf_dir, pdf_variant="flate")
-    return extract_pipeline(pages, spell=False).map_batches(
-        _project_identity, batch_format="pyarrow"
-    )
+    """FlateDecode streams, TJ arrays and Td/T*/' line operators
+    (synth.make_pdf_flate)."""
+    return _projected(sf_dir, pdf_variant="flate")
 
 
 def extract_documents_pdf3(sf_dir: str) -> rd.Dataset:
-    """Same byte-identity gate, with PDF payloads in the composite-font
-    dialect (synth.make_pdf_utf16): 2-byte show codes through a
-    ToUnicode CMap (bfchar + both bfrange forms) plus BOM'd UTF-16BE
-    literal strings — proves the non-Latin decode paths in
-    stages/pdf.py preserve the identity (round-2 verdict item 6)."""
-    pages = pages_dataset_from_documents(sf_dir, pdf_variant="utf16")
-    return extract_pipeline(pages, spell=False).map_batches(
-        _project_identity, batch_format="pyarrow"
-    )
+    """2-byte codes through a ToUnicode CMap (bfchar and both bfrange
+    forms) plus BOM'd UTF-16BE strings (synth.make_pdf_utf16)."""
+    return _projected(sf_dir, pdf_variant="utf16")
 
 
 def extract_documents_pdf4(sf_dir: str) -> rd.Dataset:
-    """Same byte-identity gate, with PDF payloads RC4-encrypted under
-    the standard security handler (synth.make_pdf_rc4: V2/R3 128-bit,
-    empty user password) — proves the spec §7.6.3 decryption pre-pass
-    in stages/pdf.py preserves the identity. Off the 50-entry driver
-    surface; pinned against EXTRACT_SQL in
-    tests/test_oracle_conformance.py."""
-    pages = pages_dataset_from_documents(sf_dir, pdf_variant="rc4")
-    return extract_pipeline(pages, spell=False).map_batches(
-        _project_identity, batch_format="pyarrow"
-    )
+    """RC4 under the standard security handler, V2/R3 128-bit, empty
+    user password (synth.make_pdf_rc4)."""
+    return _projected(sf_dir, pdf_variant="rc4")
 
 
 def extract_documents_pdf5(sf_dir: str) -> rd.Dataset:
-    """Same byte-identity gate, with PDF payloads AES-128-CBC-encrypted
-    (synth.make_pdf_aes: /V 4 /R 4, /CFM /AESV2 crypt filter, empty
-    user password) — proves the §7.6.2 AES pre-pass (object-key sAlT
-    derivation, IV-prefixed CBC streams, /Length-rewriting rebuild) in
-    stages/pdf.py preserves the identity. Off the 50-entry driver
-    surface; pinned against EXTRACT_SQL in
-    tests/test_oracle_conformance.py."""
-    pages = pages_dataset_from_documents(sf_dir, pdf_variant="aes")
-    return extract_pipeline(pages, spell=False).map_batches(
-        _project_identity, batch_format="pyarrow"
-    )
+    """AES-128-CBC through a /V 4 /AESV2 crypt filter, sAlT object keys
+    and IV-prefixed streams (synth.make_pdf_aes)."""
+    return _projected(sf_dir, pdf_variant="aes")
 
 
 def extract_documents_pdf6(sf_dir: str) -> rd.Dataset:
-    """Same byte-identity gate, with PDF payloads AES-256-encrypted
-    (synth.make_pdf_aes256 rev=5: /V 5, /CFM /AESV3, the draft
-    single-SHA-256 KDF — rev=6's hardened Algorithm-2.B hash is
-    exercised by a single-doc unit test instead, it costs ~1s/doc by
-    design). Off the 50-entry driver surface; pinned in
-    tests/test_oracle_conformance.py."""
-    pages = pages_dataset_from_documents(sf_dir, pdf_variant="aes256r5")
-    return extract_pipeline(pages, spell=False).map_batches(
-        _project_identity, batch_format="pyarrow"
-    )
+    """AES-256 /V 5 /AESV3 with the R5 single-SHA-256 KDF
+    (synth.make_pdf_aes256 rev=5; R6's ~1 s/doc hash has a unit test)."""
+    return _projected(sf_dir, pdf_variant="aes256r5")
 
 
 def extract_documents_docx(sf_dir: str) -> rd.Dataset:
-    """Same byte-identity gate with the dialect-slot docs packaged as
-    DOCX (synth.make_docx: WordprocessingML runs with preserved
-    spaces) — proves the zip-container extraction (stages/office.py)
-    preserves the identity. Off the 50-entry driver surface; pinned
-    against EXTRACT_SQL in tests/test_oracle_conformance.py."""
-    pages = pages_dataset_from_documents(sf_dir, pdf_variant="docx")
-    return extract_pipeline(pages, spell=False).map_batches(
-        _project_identity, batch_format="pyarrow"
-    )
+    """DOCX zip containers with space-preserving runs (synth.make_docx,
+    stages/office.py)."""
+    return _projected(sf_dir, pdf_variant="docx")
 
 
 def extract_documents_epub(sf_dir: str) -> rd.Dataset:
-    """Same byte-identity gate with the dialect-slot docs packaged as
-    EPUB (synth.make_epub: multi-chapter spine, chrome-wrapped
-    chapters) — the chapters flow through the html segment+score
-    chain, so this also proves publisher chrome drops without
-    touching content. Off the 50-entry driver surface; pinned against
-    EXTRACT_SQL in tests/test_oracle_conformance.py."""
-    pages = pages_dataset_from_documents(sf_dir, pdf_variant="epub")
-    return extract_pipeline(pages, spell=False).map_batches(
-        _project_identity, batch_format="pyarrow"
-    )
+    """Multi-chapter EPUB whose chrome-wrapped chapters go through the
+    HTML segment and score chain (synth.make_epub)."""
+    return _projected(sf_dir, pdf_variant="epub")
 
 
 def extract_documents_gzip(sf_dir: str) -> rd.Dataset:
-    """Same byte-identity gate with HTML payloads per-record gzipped
-    (the CC WARC convention) — proves the transparent-inflate sniff in
-    ``extract_row`` preserves the identity."""
-    pages = pages_dataset_from_documents(sf_dir, html_variant="gzip")
-    return extract_pipeline(pages, spell=False).map_batches(
-        _project_identity, batch_format="pyarrow"
-    )
+    """Per-record gzipped HTML, the CC WARC convention (the inflate
+    sniff in ``extract_row``)."""
+    return _projected(sf_dir, html_variant="gzip")
 
 
 def extract_stats(sf_dir: str) -> pa.Table:
@@ -159,8 +115,7 @@ def extract_stats(sf_dir: str) -> pa.Table:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = (
-        _extracted(sf_dir, spell=True)
-        .map_batches(partial, batch_format="pyarrow")
+        _projected(sf_dir, partial, spell=True)
         # tiny per-batch partials → one merge block (no empty reduce
         # partitions; see queries.q1_pricing_summary)
         .repartition(1)
@@ -192,7 +147,7 @@ def extract_quarantine(sf_dir: str) -> rd.Dataset:
         b = batch.filter(pc.invert(pc.equal(batch["error"], "")))
         return b.select(["doc_id"])
 
-    return _extracted(sf_dir).map_batches(project, batch_format="pyarrow")
+    return _projected(sf_dir, project)
 
 
 EXTRACT_QUARANTINE_SQL = "SELECT doc_id FROM documents WHERE doc_id % 97 = 13"

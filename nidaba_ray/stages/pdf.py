@@ -3,10 +3,10 @@ nidaba/plugins/kraken.py, UNVERIFIED per SURVEY.md §0).
 
 A real (public-spec) PDF *subset* parser, pure stdlib:
 
-  * xref-free scan: one pattern pass locates every ``N G obj``, one
-    every ``<< dict >> stream … endstream``, into a stream table that
-    all later steps read (damaged xref tables don't matter — the same
-    recovery strategy real extractors use);
+  * xref-free scan, linear in the file: one pattern pass finds every
+    ``N G obj``, one every ``stream`` keyword (the dict closing there,
+    the body up to the next ``endstream``) for the stream table all
+    later steps read (damaged xrefs don't matter, as in real extractors);
   * stream ``/Filter`` chains decode in array order — FlateDecode
     (zlib), LZWDecode (from-scratch TIFF-variant LZW incl. the
     /EarlyChange parm), ASCIIHexDecode, ASCII85Decode and
@@ -53,9 +53,8 @@ of scope (documented): incrementing bfranges that cross a surrogate
 boundary (bfchar and array-form destinations decode fine in any
 plane, incl. surrogate pairs), and non-empty user passwords.
 Inline images (``BI … ID <binary> EI``, spec §8.9.7) are skipped as
-opaque spans so their binary payload can never be mis-tokenized into
-text. A production build swaps this module for a full parser behind
-the same ``extract_pdf_blocks`` contract.
+opaque spans, never tokenized into text. A production build swaps
+this module for a full parser behind ``extract_pdf_blocks``.
 """
 
 from __future__ import annotations
@@ -63,23 +62,12 @@ from __future__ import annotations
 import hashlib
 import re
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 __all__ = ["is_pdf", "extract_pdf_blocks", "PDF_MAGIC"]
 
 PDF_MAGIC = b"%PDF-"
 
-# nearest-`<<` dict immediately preceding a stream keyword. ONE level
-# of `<< nested >>` sub-dict is consumed atomically (the alternative is
-# tried before the any-char branch) so `/DecodeParms << /EarlyChange 0 >>`
-# style parameter dicts stay inside the captured dict source; deeper
-# nesting is outside the subset. The guard keeps a text-bearing stream
-# body from swallowing the next object's dict.
-_STREAM_RE = re.compile(
-    rb"<<((?:<<(?:(?!<<).)*?>>|(?:(?!<<).))*?)>>\s*stream"
-    rb"(?:\r\n|\n|\r)(.*?)(?:\r\n|\n|\r)?endstream",
-    re.S,
-)
 # (?!\d) pins the capture to the FULL integer — without it the
 # indirect-ref lookahead backtracks to a digit prefix ("/Length 15 0 R"
 # would capture b"1") and mis-slice the stream body
@@ -258,37 +246,37 @@ def _hex_bytes(h: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# The stream table: one _OBJGEN_RE and one _STREAM_RE pass over the file
-# (plus, in a damaged file only, one pass over each object a stream's
-# match runs into); every later step reads the entries
+# The stream table: one _OBJGEN_RE and one _STREAM_KW_RE pass over the
+# file; every later step reads the entries
 # ---------------------------------------------------------------------------
 
-_OBJGEN_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b(.*?)\bendobj", re.S)
+# (?<!\d): only a digit run's head can match; with the search ended at
+# the last `endobj`, no failing header walks the file
+_OBJGEN_RE = re.compile(rb"(?<!\d)(\d+)\s+(\d+)\s+obj\b(.*?)\bendobj", re.S)
+_STREAM_KW_RE = re.compile(rb">>\s*stream(?:\r\n|\n|\r)")
 _UNSET = object()
 
 
 class _Stream:
-    """One ``<< dict >> stream … endstream`` match as offsets into
+    """One ``<< dict >> stream … endstream`` entry as offsets into
     ``src`` (the payload, or its own plaintext once decrypted), never
-    a copy: the body runs ``cap`` bytes from ``start`` to the pattern's
-    ``endstream``; ``size`` is the direct /Length (None when absent,
-    indirect or past the end), which keeps a trailing EOL data byte the
-    pattern would eat (spec §7.3.8.1). ``obj`` indexes the enclosing
-    object (None outside every object); ``top`` is False for a stream
-    found only by :func:`_scan`'s per-object rescan."""
+    a copy: the body runs ``cap`` bytes from ``start`` to the next
+    ``endstream``, less the EOL before it; ``size`` is the direct
+    /Length (None when absent, indirect or past the end), which keeps
+    a trailing EOL data byte (spec §7.3.8.1). ``obj`` indexes the
+    enclosing object (None outside every object); ``top`` is False
+    for a stream whose keyword lies inside an earlier entry's body."""
 
     __slots__ = ("dict_src", "obj", "top", "src", "start", "cap", "size",
                  "_body", "_cmap")
 
-    def __init__(self, payload: bytes, m: re.Match, obj: int | None,
-                 top: bool = True):
-        self.dict_src = m.group(1)
-        self.obj, self.top = obj, top
-        self.src, self.start = payload, m.start(2)
-        self.cap = m.end(2) - self.start
+    def __init__(self, payload: bytes, dict_src: bytes, start: int,
+                 cap: int, obj: int | None, top: bool):
+        self.dict_src, self.obj, self.top = dict_src, obj, top
+        self.src, self.start, self.cap = payload, start, cap
         self.size = None
-        lm = _LENGTH_RE.search(self.dict_src)
-        if lm and self.start + int(lm.group(1)) <= len(payload):
+        lm = _LENGTH_RE.search(dict_src)
+        if lm and start + int(lm.group(1)) <= len(payload):
             self.size = int(lm.group(1))
         self._body = self._cmap = _UNSET
 
@@ -305,8 +293,8 @@ class _Stream:
 
     def _decode(self) -> bytes | None:
         """Unfiltered bodies end at ``endstream``. A /Filter chain
-        decodes in array order, over the declared slice FIRST, then the
-        pattern capture (tolerates the common malformation of an
+        decodes in array order, over the declared slice FIRST, then up
+        to ``endstream`` (tolerates the common malformation of an
         under-declared /Length — zlib and the EOD-marked filters ignore
         trailing bytes); a chain this subset can't decode skips the
         stream."""
@@ -333,36 +321,44 @@ class _Stream:
         return self._cmap
 
 
+def _dict_open(payload: bytes, lo: int, e: int) -> int | None:
+    """Where the stream dict closing at the ``>>`` at ``e`` opens: the
+    first ``<<`` from ``lo`` on after which each ``<<`` opens a sub-dict
+    closed by the next ``>>`` before ``e`` (one nested level, so
+    ``/DecodeParms << … >>`` stays inside), or None."""
+    q = e
+    while (p := payload.rfind(b"<<", lo, q + 1)) >= 0:
+        r = payload.find(b">>", p + 2, e + 2)
+        if r >= e - 1 or payload.find(b"<<", p + 2, r) >= 0:
+            return p - 1 if p > lo and payload[p - 1] == 0x3C else p
+        q = p
+    return q if q < e else None
+
+
 def _scan(payload: bytes) -> tuple[list[re.Match], list[_Stream]]:
-    """The document's objects and its stream table, in file order. A
-    stream belongs to the object whose body holds its whole match. A
-    match that crosses an object boundary (a damaged ``endstream`` or
-    ``<<``) swallows the streams of the objects it straddles, so each
-    of those is rescanned alone; its streams resolve and decrypt, but
-    only whole-file matches are content. Well-formed files are scanned
-    once."""
-    objs = list(_OBJGEN_RE.finditer(payload))
+    """The document's objects and its stream table, in file order: each
+    keyword's dict opens after the previous keyword, its body runs to
+    the next ``endstream``. One inside an earlier body (a damaged
+    ``endstream``) resolves fonts and decrypts but is not content."""
+    objs = list(_OBJGEN_RE.finditer(payload, 0, payload.rfind(b"endobj") + 6))
     ends = [m.end(3) for m in objs]
     streams: list[_Stream] = []
-    straddled: dict[int, None] = {}  # insertion-ordered set
-    for m in _STREAM_RE.finditer(payload):
-        k = bisect_left(ends, m.end())
-        if k < len(objs) and objs[k].start(3) <= m.start():
-            streams.append(_Stream(payload, m, k))
+    lo, es = 0, -9  # the previous keyword's end; the last `endstream`
+    for kw in _STREAM_KW_RE.finditer(payload):
+        e, start = kw.span()
+        top = es < start  # not inside the last body
+        s = _dict_open(payload, max(lo, es + 9) if top else lo, e)
+        lo = start
+        if s is None:
             continue
-        streams.append(_Stream(payload, m, None))
-        j = bisect_right(ends, m.start())
-        while j < len(objs) and objs[j].start(3) < m.end():
-            straddled[j] = None
-            j += 1
-    for s in streams:
-        if s.obj in straddled:  # the object's own scan finds it again
-            s.obj = None
-    for j in straddled:
-        o = objs[j]
-        streams.extend(
-            _Stream(payload, m, j, top=False)
-            for m in _STREAM_RE.finditer(payload, o.start(3), o.end(3)))
+        if top and (es := payload.find(b"endstream", start)) < 0:
+            break  # no body ends after this keyword or any later one
+        eol = payload[es - 2 : es]  # the EOL before `endstream` is not body
+        end = es - (eol == b"\r\n") - (eol[-1:] in (b"\r", b"\n"))
+        k = bisect_left(ends, es + 9)
+        obj = k if k < len(objs) and objs[k].start(3) <= s else None
+        streams.append(_Stream(payload, payload[s + 2 : e], start,
+                               max(start, end) - start, obj, top))
     return objs, streams
 
 
@@ -539,10 +535,8 @@ def _decrypt_payload(payload: bytes, objs: list[re.Match],
     em = _ENC_REF_RE.search(payload)
     if em:
         enc_num = int(em.group(1))
-        for m in objs:
-            if int(m.group(1)) == enc_num:
-                enc = m.group(3)
-                break
+        enc = next((m.group(3) for m in objs if int(m.group(1)) == enc_num),
+                   None)
     if enc is None:
         im = _ENC_INLINE_RE.search(payload)
         if im:
@@ -598,8 +592,7 @@ def _decrypt_payload(payload: bytes, objs: list[re.Match],
             obj_key, cipher = partial(_obj_key, key), _rc4
 
     done = 0  # end of the last decrypted range: plaintexts never overlap
-    for s in sorted((s for s in streams if s.obj is not None),
-                    key=lambda s: s.start):  # outside objects: no key
+    for s in (s for s in streams if s.obj is not None):  # in file order
         m = objs[s.obj]
         num = int(m.group(1))
         if num == enc_num or s.start < done:
@@ -635,31 +628,30 @@ def _font_maps(objs: list[re.Match], streams: list[_Stream],
     first object with a number winning. Returns {} when no font
     resources resolve (the caller then falls back to the merged
     document-level maps)."""
-    first: dict[int, _Stream] = {}
-    for s in streams:
-        if s.obj is not None:
-            first.setdefault(s.obj, s)
+    first = {s.obj: s for s in reversed(streams)}  # each object's first
     index: dict[int, tuple[bytes, _Stream | None]] = {}
     for i, m in enumerate(objs):
         index.setdefault(int(m.group(1)), (m.group(3), first.get(i)))
     for num, body in members:
         index.setdefault(num, (body, None))
     fonts: dict[bytes, tuple[dict | None, dict | None]] = {}
+    read: dict[int, tuple[dict | None, dict | None]] = {}  # by font object
     for body, _ in index.values():
-        for res in _FONT_RES_RE.finditer(body):
+        for res in _FONT_RES_RE.finditer(body, 0, body.rfind(b">>") + 2):
             for ref in _FONT_REF_RE.finditer(res.group(1)):
                 name, num = b"/" + ref.group(1), int(ref.group(2))
                 fobj = index.get(num)
                 if fobj is None or name in fonts:
                     continue
-                cmap = None
-                tm = _TOUNICODE_RE.search(fobj[0])
-                if tm:
-                    _, stream = index.get(int(tm.group(1)), (b"", None))
-                    if stream is not None:
-                        cmap = stream.cmap() or None
-                diffs = parse_differences(fobj[0]) or None
-                fonts[name] = (cmap, diffs)
+                if num not in read:  # names sharing an object read it once
+                    cmap = None
+                    tm = _TOUNICODE_RE.search(fobj[0])
+                    if tm:
+                        _, stream = index.get(int(tm.group(1)), (b"", None))
+                        if stream is not None:
+                            cmap = stream.cmap() or None
+                    read[num] = (cmap, parse_differences(fobj[0]) or None)
+                fonts[name] = read[num]
     return fonts
 
 
@@ -729,7 +721,8 @@ def parse_differences(data: bytes) -> dict[int, str]:
     integer sets the next code, each following name consumes one
     code)."""
     diffs: dict[int, str] = {}
-    for m in _DIFF_RE.finditer(data):
+    # no array opens after the last `]`: ending there, none walks on
+    for m in _DIFF_RE.finditer(data, 0, data.rfind(b"]") + 1):
         code = 0
         for tok in _DIFF_TOK_RE.finditer(m.group(1)):
             name, num = tok.group(1), tok.group(2)
@@ -774,12 +767,14 @@ def parse_tounicode_cmap(body: bytes) -> dict[int, str]:
     (``<lo> <hi> <dst>`` — dst advances with the code) and array
     destinations (``<lo> <hi> [<d0> <d1> …]``)."""
     cmap: dict[int, str] = {}
-    for sec in _BFCHAR_RE.finditer(body):
+    # sections end at the last end keyword: no open one walks the body
+    for sec in _BFCHAR_RE.finditer(body, 0, body.rfind(b"endbfchar") + 9):
         toks = [m.group(1) for m in _CMAP_TOK_RE.finditer(sec.group(1))
                 if m.group(1)]
         for i in range(0, len(toks) - 1, 2):
             cmap[int(toks[i], 16)] = _u16_hex(toks[i + 1])
-    for sec in _BFRANGE_RE.finditer(body):
+    for sec in _BFRANGE_RE.finditer(body, 0,
+                                    body.rfind(b"endbfrange") + 10):
         toks: list = []
         for m in _CMAP_TOK_RE.finditer(sec.group(1)):
             toks.append(m.group(1) if m.group(1) else m.group(0))
@@ -925,6 +920,7 @@ def _parse_content(
         lines = []
 
     i, n = 0, len(data)
+    no_id = no_ei = n  # an ID / EI search that failed from here fails on
     while i < n:
         c = data[i]
         if c in _WS_BYTES:
@@ -981,14 +977,17 @@ def _parse_content(
         op = m.group()
         i = m.end()
         if op == b"BI":  # inline image: skip BI…ID…EI as one opaque span
-            m2 = _INLINE_ID_RE.search(data, i)
-            # a bare BI with no ID anywhere after it is a corrupt /
-            # false-positive operator (e.g. one flipped byte), not an
-            # image — keep tokenizing instead of dropping every later
-            # block in the stream
-            if m2 is not None:
-                m3 = (_INLINE_EI_RE.search(data, m2.end())
-                      or _INLINE_EI_BARE_RE.search(data, m2.end()))
+            m2 = _INLINE_ID_RE.search(data, i) if i < no_id else None
+            # a BI with no ID after it is a corrupt or false-positive
+            # operator (one flipped byte), not an image: tokenize on
+            if m2 is None:
+                no_id = i
+            else:
+                j = m2.end()
+                m3 = _INLINE_EI_RE.search(data, j) if j < no_ei else None
+                if m3 is None:
+                    no_ei = j
+                    m3 = _INLINE_EI_BARE_RE.search(data, j)
                 # no EI at all → truncated image at stream end; only
                 # then is dropping the (empty) remainder correct
                 i = n if m3 is None else m3.end()

@@ -282,6 +282,24 @@ def test_truncation_and_garbage():
         decode_flac_pcm(b"not flac at all")
 
 
+def test_streaminfo_must_be_the_first_and_only_streaminfo():
+    """The decoder reads STREAMINFO where probe_media does: as the first
+    metadata block, once. A PADDING block before it (which used to
+    decode at the fallback rate) and a repeated STREAMINFO both raise."""
+    from nidaba_ray.stages.multimodal import probe_media
+
+    enc = encode_flac(np.arange(100, dtype=np.int16), rate=22050)
+    si, frames = enc[4:42], enc[42:]
+    assert si[0] == 0x80 and decode_flac_pcm(enc)[1] == 22050
+    padding_first = b"fLaC" + bytes([1, 0, 0, 4, 0, 0, 0, 0]) + si + frames
+    for read in (decode_flac_pcm, probe_media):
+        with pytest.raises(ValueError, match="first metadata block is not"):
+            read(padding_first)
+    twice = b"fLaC" + bytes([0]) + si[1:] + si + frames
+    with pytest.raises(ValueError, match="second STREAMINFO"):
+        decode_flac_pcm(twice)
+
+
 def test_utf8_number_roundtrip():
     r = F._BitReader(b"".join(F._utf8_encode(v) for v in
                               [0, 1, 127, 128, 2047, 2048, 65535,

@@ -287,7 +287,7 @@ def test_pdf_asciihex_and_runlength_end_to_end():
 
 def test_pdf_lzw_with_nested_decodeparms_dict():
     # the /DecodeParms << … >> sub-dict must stay INSIDE the captured
-    # stream dict (the one-level nesting the r5 _STREAM_RE allows) and
+    # stream dict (the one-level nesting the stream table allows) and
     # its /EarlyChange 0 must be honoured — the content is long enough
     # that the two widening modes produce different bitstreams.
     text = "a" * 300
@@ -325,9 +325,9 @@ def test_pdf_image_codec_stream_skipped_not_parsed():
 def test_flate_bomb_stream_is_skipped_within_bounded_memory():
     # Peak allocation is bounded by the cap, not by the 4x-cap stream:
     # the capped inflate holds its output twice at its peak (CPython's
-    # zlib output buffer joins its blocks), and the stream-object scan
-    # adds about half a cap for this ~260 kB stream. An uncapped
-    # inflate would need 4x the cap for its output alone.
+    # zlib output buffer joins its blocks); the stream table's scan
+    # holds no per-byte state. An uncapped inflate would need 4x the
+    # cap for its output alone.
     c = zlib.compressobj(9)
     chunk = bytes(1 << 20)
     bomb = b"".join(c.compress(chunk)

@@ -150,7 +150,7 @@ class _Counting:
     synth.make_pdf_rc4, synth.make_pdf_aes,
 ])
 def test_one_scan_per_document_and_one_decode_per_stream(make, monkeypatch):
-    """extract_pdf_blocks runs the stream pattern and the object
+    """extract_pdf_blocks runs the stream keyword pattern and the object
     pattern once each over the document, and decodes each stream body
     at most once — decryption, object streams, CMaps, fonts and the
     content pass all read the one stream table."""
@@ -158,9 +158,9 @@ def test_one_scan_per_document_and_one_decode_per_stream(make, monkeypatch):
     doc = make(7, text)
     want = P.extract_pdf_blocks(doc)
     assert " ".join(want) == text
-    streams = _Counting(P._STREAM_RE)
+    streams = _Counting(P._STREAM_KW_RE)
     objects = _Counting(P._OBJGEN_RE)
-    monkeypatch.setattr(P, "_STREAM_RE", streams)
+    monkeypatch.setattr(P, "_STREAM_KW_RE", streams)
     monkeypatch.setattr(P, "_OBJGEN_RE", objects)
     assert P.extract_pdf_blocks(doc) == want
     assert (streams.calls, objects.calls) == (1, 1)
@@ -207,17 +207,23 @@ def _far_length_streams(n: int) -> bytes:
         b"endstream endobj\n" % (100 + k, reach) for k in range(n))
 
 
+def _peak_bytes(run):
+    """``run()`` and the peak bytes it allocated, under tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("encrypted", [False, True])
 def test_far_reaching_lengths_stay_within_linear_memory(encrypted):
     """/Length only has to fit in the file, so many streams can declare
     ranges that overlap. The table holds offsets, decodes one declared
     slice at a time, and decrypts each byte at most once, so the peak
-    grows with the file, not with streams × /Length. The stream
-    pattern's own backtracking holds ~100 bytes per byte of the file
-    while it fails from an unmatched ``<<`` (an open ROADMAP item); the
-    bound is on what extraction holds beyond that scan."""
-    import tracemalloc
-
+    grows with the file, not with streams × /Length."""
     body = _far_length_streams(2000)
     if encrypted:  # splice into an RC4 file: same key, more objects
         base = synth.make_pdf_rc4(7, "kept paragraph")
@@ -225,15 +231,84 @@ def test_far_reaching_lengths_stay_within_linear_memory(encrypted):
         doc = base[:cut] + body + base[cut:]
     else:
         doc = synth.make_pdf(7, "kept paragraph") + body
-    peaks = []
-    for run in (lambda: list(P._STREAM_RE.finditer(doc)),
-                lambda: P.extract_pdf_blocks(doc)):
-        tracemalloc.start()
-        try:
-            out = run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    out, peak = _peak_bytes(lambda: P.extract_pdf_blocks(doc))
     assert out == ["kept paragraph"]
-    scan, extract = peaks
-    assert extract < scan + 20 * len(doc), (scan, extract, len(doc))
+    assert peak < 20 * len(doc), (peak, len(doc))
+
+
+def test_large_well_formed_pdf_stays_within_linear_memory():
+    """A well-formed one-page document of ~1.6 MB: finding its stream
+    holds no per-byte state, so extraction peaks at a small multiple
+    of the file."""
+    import random
+
+    rng = random.Random(3)
+    words = ["alpha", "beta", "gamma", "delta", "kappa", "omega"]
+    text = " ".join(rng.choice(words) for _ in range(240_000))
+    doc = synth.make_pdf(7, text)
+    assert 1_500_000 < len(doc) < 1_800_000
+    out, peak = _peak_bytes(lambda: P.extract_pdf_blocks(doc))
+    assert " ".join(out) == text
+    assert peak < 10 * len(doc), (peak, len(doc))
+
+
+def _pages_pdf(n: int) -> bytes:
+    """A well-formed ``n``-page document: a page dict and a content
+    stream per page."""
+    objs = [b"1 0 obj << /Type /Catalog /Pages 2 0 R >> endobj\n",
+            b"2 0 obj << /Type /Pages /Count %d >> endobj\n" % n]
+    for k in range(3, 3 + 2 * n, 2):
+        body = b"BT (page %d) Tj ET" % k
+        objs.append(b"%d 0 obj << /Type /Page /Parent 2 0 R /Contents %d 0 R"
+                    b" >> endobj\n" % (k, k + 1))
+        objs.append(b"%d 0 obj << /Length %d >> stream\n%s\nendstream "
+                    b"endobj\n" % (k + 1, len(body), body))
+    return b"%PDF-1.4\n" + b"".join(objs) + b"trailer << /Root 1 0 R >>\n"
+
+
+def _one_stream(body: bytes) -> bytes:
+    return (b"%%PDF-1.4\n1 0 obj << /Length %d >> stream\n%s\nendstream "
+            b"endobj\n" % (len(body), body))
+
+
+# shape → (document of size n, n at 1×); each takes time quadratic in n
+# when a search walks to the end of the file once per candidate
+_HOSTILE_SHAPES = {
+    "many_pages": (_pages_pdf, 40),
+    "digit_run": (lambda n: b"%PDF-1.4\n" + b"7" * n + b" endobj", 2_000),
+    "unterminated_objs": (lambda n: b"%PDF-1.4\n1 0 obj << >> endobj\n"
+                          + b"".join(b"%d 0 obj << /Type /Page >>\n" % k
+                                     for k in range(n)), 200),
+    "no_endstream": (lambda n: b"%PDF-1.4\n" + b"".join(
+        b"%d 0 obj << /Length 1 >> stream\nx\n" % k for k in range(n)), 200),
+    "differences": (lambda n: b"%PDF-1.4\n" + b"/Differences[" * n, 500),
+    "inline_image": (lambda n: b"%PDF-1.4\n" + b"BI " * n, 1_000),
+    "font_resources": (lambda n: _one_stream(b"BT (x) Tj ET")
+                       + b"2 0 obj " + b"/Font<< " * n + b"endobj\n", 500),
+    "cmap_sections": (lambda n: _one_stream(
+        b"beginbfchar beginbfrange " * n), 500),
+    "font_names": (lambda n: _one_stream(b"BT (x) Tj ET")
+                   + b"2 0 obj << /Font << "
+                   + b"".join(b"/F%d 3 0 R " % k for k in range(n))
+                   + b">> >> endobj\n3 0 obj << /Type /Font "
+                   + b"/W " * (20 * n) + b">> endobj\n", 250),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_HOSTILE_SHAPES))
+def test_hostile_pdf_structure_is_linear(shape):
+    """Growing a document 8× grows extraction time about 8×, not 64×,
+    for each structure that a restarting search would walk once per
+    candidate: many well-formed pages, a digit run, object headers or
+    stream keywords with no end, ``/Differences[``, ``BI``, ``/Font<<``
+    and CMap sections that never close, and many font names sharing
+    one large font object."""
+    import timeit
+
+    make, n = _HOSTILE_SHAPES[shape]
+    small, large = make(n), make(8 * n)
+    P.extract_pdf_blocks(small)
+    t_small, t_large = (
+        min(timeit.repeat(lambda: P.extract_pdf_blocks(d), number=5,
+                          repeat=3)) for d in (small, large))
+    assert t_large / t_small < 20, (t_small, t_large)
