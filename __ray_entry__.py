@@ -48,9 +48,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         convergence + monotonicity pinned; its trainer is not shared —
         the IVF build trains with the fixed-point Lloyd its SQL oracle
         replays)
-      * ``relational.windows.event_value_quantiles_sketch``
-        (error-bound-pinned scale variant of the oracle-checked exact
-        quantiles)
       * ``functions.textops.gopher_quality_flags`` (full Rae-2021
         gate; 6 document rules DuckDB-parity-tested in
         tests/test_gopher.py, the repetition flag pinned on crafted
@@ -74,17 +71,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         md5(text) — ceded its surface slot to dsir_select in round 5;
         SQL parity stays pinned in tests/test_dsir.py and the timing
         stays in bench.py)
-      * ``functions.semdedup.semdedup`` /
-        ``functions.semdedup.semdedup_kept`` (Abbas-2023
-        embedding-cluster semantic dedup over the cached IVF
-        clustering; FULL SQL replay — ranking + pair graph + the
-        greedy as a recursive CTE — plus an independent naive
-        reference in tests/test_semdedup.py; bench-timed)
-      * ``functions.bpe.bpe_token_count`` / ``functions.bpe.train_bpe``
-        (Sennrich-2016 trained BPE — hand-computed merge pins + a
-        greedy≡apply-in-order differential reference in
-        tests/test_bpe.py; bench-timed; subword_token_count keeps the
-        driver slot as the SQL-replayable estimate)
       * ``functions.urls.url_canonicalize`` /
         ``functions.urls.url_dedup_latest`` (canonical-URL re-crawl
         keep-latest dedup over pages tables; Python kernel ≡ one

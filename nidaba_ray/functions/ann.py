@@ -1,6 +1,7 @@
 """Similarity search over the embeddings table — brute-force cosine
-top-k as the exact baseline, random-hyperplane LSH bucketing as the
-scale path (driver instruction: first-class ANN ops).
+top-k as the exact baseline, the partitioned IVF index as the scale
+path, and random-hyperplane LSH blocking for embedding near-dup pairs
+(driver instruction: first-class ANN ops).
 
 Scale notes: the query matrix is broadcast once (closure capture of a
 small numpy array — for many-query batches use ray.put); each batch
@@ -53,10 +54,10 @@ def _embedding_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 def _binary_matrix(col: pa.ChunkedArray | pa.Array,
                    dtype: np.dtype | type) -> np.ndarray:
     """Arrow-native (B, w) decode of a null-free binary column whose
-    values are all the same byte width (packed pq_code / packed-vector
-    join payloads) — one contiguous ``frombuffer`` + reshape instead
-    of a per-row ``to_pylist``/``np.stack`` loop. Falls back to the
-    Python path for ragged or null-bearing input."""
+    values are all the same byte width (packed-vector join payloads)
+    — one contiguous ``frombuffer`` + reshape instead of a per-row
+    ``to_pylist``/``np.stack`` loop. Falls back to the Python path for
+    ragged or null-bearing input."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     n = len(col)
@@ -327,46 +328,6 @@ def lsh_bucket_ids(m: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return (bits.astype(np.uint32) << np.arange(N_PLANES, dtype=np.uint32)).sum(axis=1)
 
 
-def ann_topk_lsh(sf_dir: str, k: int = 10, query_vec_id: int = 0) -> pa.Table:
-    """Approximate top-k: random-hyperplane LSH; candidates = vectors
-    whose bucket code is within Hamming ≤ 2 of the query's (multi-probe
-    LSH). One narrow pass — the bucket filter is vectorized per batch;
-    only candidates pay the cosine. Rows-only check (approximate by
-    construction); recall vs the brute-force baseline is unit-tested."""
-    q = _query_vec(sf_dir, query_vec_id)
-    qn = q / np.linalg.norm(q)
-    planes = _planes(len(q))
-    q_code = int(lsh_bucket_ids(qn[None, :], planes)[0])
-
-    def candidates(batch: pa.Table) -> pa.Table:
-        m = _embedding_matrix(batch["embedding"])
-        codes = lsh_bucket_ids(m, planes)
-        ham = np.zeros(len(codes), dtype=np.int32)
-        x = codes ^ np.uint32(q_code)
-        while x.any():
-            ham += (x & 1).astype(np.int32)
-            x >>= 1
-        mask = ham <= 2
-        if not mask.any():
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "cos_sim": pa.array([], pa.float64())})
-        sel = m[mask]
-        norms = np.linalg.norm(sel, axis=1)
-        cos = round_like_sql((sel @ qn) / np.where(norms > 0, norms, 1.0), 6)
-        ids = np.asarray(batch["vec_id"])[mask]
-        order = np.lexsort((ids, -cos))[:k]
-        return pa.table({"vec_id": pa.array(ids[order], pa.int64()),
-                         "cos_sim": pa.array(cos[order], pa.float64())})
-
-    parts = (
-        rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .map_batches(candidates, batch_format="pyarrow", batch_size=8192)
-        .to_pandas()
-    )
-    out = parts.sort_values(["cos_sim", "vec_id"], ascending=[False, True]).head(k)
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
-
-
 def _pair_cos6(an_rows: np.ndarray, bn_rows: np.ndarray) -> np.ndarray:
     """Canonical quantized pair cosine for the embedding near-dup
     verification (row-wise einsum over pre-normalized rows, rounded to
@@ -484,21 +445,13 @@ def kmeans_embeddings(
 
 
 def build_ivf_index(sf_dir: str, out_dir: str, n_lists: int = 16,
-                    train_iter: int = 4,
-                    pq_params: tuple[int, int] | None = None) -> np.ndarray:
+                    train_iter: int = 4) -> np.ndarray:
     """Ingest-side IVF: train the coarse quantizer, assign every
     vector, and write the embeddings PARTITIONED BY LIST ID (one
     directory per inverted list) with a centroids sidecar — the
     10^12-scale IVF layout: a query then reads only its probed
     partitions (:func:`ann_topk_ivf_partitioned`), whole-file pruning
-    instead of an in-batch filter.
-
-    With ``pq_params=(m_sub, ks)`` the build ALSO trains per-subspace
-    PQ codebooks (on the same pushdown-bounded sample the coarse
-    quantizer uses) and writes a ``pq_code`` column (m_sub uint8 codes
-    as fixed-width binary) beside each vector, plus a
-    ``pq_books.npy`` sidecar — the IVFADC layout: an ADC query reads
-    codes only (m_sub bytes/row instead of the raw vector)."""
+    instead of an in-batch filter."""
     import os
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -519,37 +472,20 @@ def build_ivf_index(sf_dir: str, out_dir: str, n_lists: int = 16,
         train_iter,
     )
 
-    books = None
-    if pq_params is not None:
-        m_sub, ks = pq_params
-        books = _pq_train_from_dir(sf_dir, m_sub, ks)
-
     def assign(batch: pa.Table) -> pa.Table:
         m = _embedding_matrix(batch["embedding"])
         d2 = _sqdist_fixed(_fixed_quantize(m), centroids)
-        batch = batch.append_column(
+        return batch.append_column(
             "list_id", pa.array(d2.argmin(axis=1).astype(np.int64))
         )
-        if books is not None:
-            norms = np.linalg.norm(m, axis=1)
-            mn = m / np.where(norms[:, None] > 0, norms[:, None], 1.0)
-            codes = _pq_encode(mn, books)
-            batch = batch.append_column(
-                "pq_code", pa.array([c.tobytes() for c in codes], pa.binary())
-            )
-        return batch
 
     ds.map_batches(assign, batch_format="pyarrow").write_parquet(
         out_dir, partition_cols=["list_id"]
     )
     np.save(os.path.join(out_dir, "centroids.npy"), centroids)
-    if books is not None:
-        np.save(os.path.join(out_dir, "pq_books.npy"), books)
     import json
 
     meta = {"n_lists": n_lists, "src": _embeddings_fingerprint(sf_dir)}
-    if pq_params is not None:
-        meta["pq"] = list(pq_params)
     with open(os.path.join(out_dir, "_IVF_DONE"), "w") as f:
         json.dump(meta, f)
     return centroids
@@ -588,8 +524,7 @@ def _ivf_index_dir(sf_dir: str, n_lists: int) -> str:
     return os.path.join(base, f"{tag}_L{n_lists}")
 
 
-def _resolve_ivf_index(sf_dir: str, n_lists: int,
-                       pq_params: tuple[int, int] | None = None) -> str:
+def _resolve_ivf_index(sf_dir: str, n_lists: int) -> str:
     """Resolve (or build) the current partitioned index version.
 
     Versioned-dir + pointer-file layout: the base dir holds
@@ -597,11 +532,8 @@ def _resolve_ivf_index(sf_dir: str, n_lists: int,
     subdir. Builders never delete what a reader might hold — they
     install a NEW version and swap the pointer; stale versions are
     garbage-collected only once unreferenced by the pointer AND older
-    than a grace period (round-2 ADVICE item 2). A plain-IVF caller
-    accepts any version with matching (n_lists, src) — including one
-    that also carries PQ codes; a PQ caller requires matching pq
-    params and triggers a rebuild otherwise (the new version serves
-    both callers)."""
+    than a grace period (round-2 ADVICE item 2). A caller accepts any
+    version with matching (n_lists, src)."""
     import json
     import os
 
@@ -613,10 +545,7 @@ def _resolve_ivf_index(sf_dir: str, n_lists: int,
         try:
             with open(pointer) as f:
                 cur = json.load(f)
-            pq_ok = (pq_params is None
-                     or cur.get("pq") == list(pq_params))
-            if (cur.get("n_lists") == n_lists and cur.get("src") == want_src
-                    and pq_ok):
+            if cur.get("n_lists") == n_lists and cur.get("src") == want_src:
                 cand = os.path.join(base, cur["dir"])
                 if os.path.isfile(os.path.join(cand, "_IVF_DONE")):
                     idx = cand
@@ -629,10 +558,8 @@ def _resolve_ivf_index(sf_dir: str, n_lists: int,
 
         vname = f"v-{uuid.uuid4().hex[:8]}"
         idx = os.path.join(base, vname)
-        build_ivf_index(sf_dir, idx, n_lists, pq_params=pq_params)
+        build_ivf_index(sf_dir, idx, n_lists)
         ptr_doc = {"dir": vname, "n_lists": n_lists, "src": want_src}
-        if pq_params is not None:
-            ptr_doc["pq"] = list(pq_params)
         tmp_ptr = f"{pointer}.tmp-{os.getpid()}"
         with open(tmp_ptr, "w") as f:
             json.dump(ptr_doc, f)
@@ -789,81 +716,6 @@ LIMIT {k}""")
     return "".join(parts)
 
 
-def ann_topk_ivfpq_partitioned(
-    sf_dir: str, k: int = 10, query_vec_id: int = 0,
-    n_lists: int = 16, n_probe: int = 4,
-    m_sub: int = 8, ks: int = 16, rerank: int = 64,
-) -> pa.Table:
-    """IVFADC (Jégou et al. 2011): the partitioned IVF layout + PQ
-    codes — the genuine 10^12-vector query path. The index build
-    writes ``pq_code`` (m_sub bytes) beside every vector; a query then
-
-    1. prunes whole FILES to the n_probe probed lists (IVF),
-    2. reads ONLY (vec_id, pq_code) from them — m_sub bytes per row
-       instead of the d×8-byte vector (the ADC scan's bytes-read win),
-    3. trims the per-batch partial top-R union to the GLOBAL ADC top-R
-       (layout-invariant, same contract as ann_topk_pq),
-    4. re-reads the probed partitions' (vec_id, embedding) filtered to
-       those ≤R candidate ids (broadcast id set, `is_in` per batch)
-       and reranks with the exact cosine / rounding contract.
-
-    With rerank ≥ the probed lists' population this equals
-    ann_topk_ivf_partitioned exactly (pinned in pytest); at default
-    rerank it is the approximate scale path (recall pinned)."""
-    import glob
-    import os
-
-    idx = _resolve_ivf_index(sf_dir, n_lists, pq_params=(m_sub, ks))
-    centroids = np.load(os.path.join(idx, "centroids.npy"))
-    books = np.load(os.path.join(idx, "pq_books.npy"))
-    q = _query_vec(sf_dir, query_vec_id)
-    qn = q / np.linalg.norm(q)
-    cd = ((centroids - _fixed_quantize(q)[None, :]) ** 2).sum(axis=1)
-    probed = np.sort(np.argsort(cd, kind="stable")[:n_probe])
-    files: list[str] = []
-    for l in probed:
-        files.extend(sorted(glob.glob(os.path.join(idx, f"list_id={l}",
-                                                   "*.parquet"))))
-    if not files:
-        return pa.table({"vec_id": pa.array([], pa.int64()),
-                         "cos_sim": pa.array([], pa.float64())})
-    lut = _adc_lut(qn, books)
-
-    def adc_scan(batch: pa.Table) -> pa.Table:
-        codes = _binary_matrix(batch["pq_code"], np.uint8)
-        adc = lut[np.arange(m_sub)[None, :], codes].sum(axis=1)
-        adc = np.round(adc, 9)  # quantize before ordering decisions
-        ids = np.asarray(batch["vec_id"])
-        order = np.lexsort((ids, adc))[:rerank]
-        return pa.table({"vec_id": pa.array(ids[order], pa.int64()),
-                         "adc": pa.array(adc[order], pa.float64())})
-
-    cand = (
-        rd.read_parquet(files, columns=["vec_id", "pq_code"])
-        .map_batches(adc_scan, batch_format="pyarrow", batch_size=8192)
-        .to_pandas()  # ≤ rerank rows per batch
-        .sort_values(["adc", "vec_id"]).head(rerank)
-    )
-    cand_ids = pa.array(sorted(cand["vec_id"].tolist()), pa.int64())
-
-    def pick(batch: pa.Table) -> pa.Table:
-        mask = pa.compute.is_in(batch["vec_id"], value_set=cand_ids)
-        return batch.filter(mask).select(["vec_id", "embedding"])
-
-    got = (
-        rd.read_parquet(files, columns=["vec_id", "embedding"])
-        .map_batches(pick, batch_format="pyarrow", batch_size=8192)
-        .to_pandas()  # exactly the ≤R candidates
-    )
-    m = np.array(list(got["embedding"]), dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
-    cos = round_like_sql((m @ qn) / np.where(norms > 0, norms, 1.0), 6)
-    ids = got["vec_id"].to_numpy()
-    order = np.lexsort((ids, -cos))[:k]
-    return pa.table({"vec_id": pa.array(ids[order], pa.int64()),
-                     "cos_sim": pa.array(cos[order], pa.float64())})
-
-
 def embedding_near_dup_scalable(
     sf_dir: str, threshold: float = 0.95
 ) -> pa.Table:
@@ -981,215 +833,6 @@ def embedding_near_dup_scalable(
     out = ensure_columns(out, _NEAR_DUP_SCHEMA)
     out = out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
     return pa.Table.from_pandas(out, preserve_index=False)
-
-
-# ---------------------------------------------------------------------------
-# Product quantization (PQ) with asymmetric distance computation — the
-# memory-compression scale path (Jégou, Douze & Schmid, "Product
-# Quantization for Nearest Neighbor Search", IEEE TPAMI 2011, public).
-# A 64-dim float64 vector (512 B) becomes m_sub uint8 codes (8 B at
-# m_sub=8): at 10^12 vectors the code table fits a cluster's RAM when
-# the raw vectors cannot, which is the entire point. Composes with the
-# IVF partitioned layout (ann_topk_ivf_partitioned): codes live beside
-# list_id in the partitioned files, the probe reads codes only, and
-# the exact rerank re-joins raw vectors for just `rerank` candidates.
-# ---------------------------------------------------------------------------
-
-
-def _pq_train_from_dir(sf_dir: str, m_sub: int, ks: int,
-                       n_sample: int = 2048) -> np.ndarray:
-    """Shared PQ training entry (ann_topk_pq + build_ivf_index): read
-    ≤ n_sample vectors via parquet filter pushdown, L2-normalize, and
-    train the per-subspace codebooks. ONE definition so the sampling /
-    zero-norm contract can never diverge between the flat-PQ and
-    IVFPQ builds."""
-    sample = (
-        pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"],
-                      filters=[("vec_id", "<", n_sample)])
-        .to_pandas().sort_values("vec_id")
-    )
-    s = np.array(list(sample["embedding"]), dtype=np.float64)
-    ns = np.linalg.norm(s, axis=1)
-    sn = s / np.where(ns[:, None] > 0, ns[:, None], 1.0)
-    return _pq_train_codebooks(sn, m_sub, ks)
-
-
-def _adc_lut(qn: np.ndarray, books: np.ndarray) -> np.ndarray:
-    """ADC lookup table: lut[j, c] = ||q_j − books[j, c]||² (shared by
-    the flat-PQ and IVFPQ query paths)."""
-    m_sub, _, dsub = books.shape
-    return np.stack([
-        ((books[j] - qn[j * dsub:(j + 1) * dsub][None, :]) ** 2).sum(axis=1)
-        for j in range(m_sub)
-    ])
-
-
-def _kmeanspp_init(points: np.ndarray, ks: int, tag: str) -> np.ndarray:
-    """Deterministic k-means++ seeding (Arthur & Vassilvitskii, SODA
-    2007): center 0 is row 0; each next center is drawn D²-weighted,
-    with the "random" draw replaced by an md5-derived uniform —
-    u_t = md5(tag:t) as a 64-bit fraction — so the seeding is a pure
-    function of (points, ks, tag). md5 only, per the repo's
-    determinism invariant. The inverse-CDF lookup uses searchsorted
-    side='right' ON PURPOSE: a draw landing exactly on a cumsum
-    boundary selects the NEXT row, which is what keeps zero-weight
-    (already-chosen) rows unselectable — e.g. u == 0 must not re-pick
-    center 0. Do not "fix" this to side='left'.
-    Degenerate case: when every remaining D² is 0 (fewer distinct
-    points than ks) the next unused row index is taken in order."""
-    import hashlib
-
-    n = len(points)
-    chosen = np.zeros(ks, dtype=np.int64)
-    d2min = ((points - points[0][None, :]) ** 2).sum(axis=1)
-    for t in range(1, ks):
-        total = float(d2min.sum())
-        if total <= 0.0:
-            unused = np.setdiff1d(np.arange(n), chosen[:t])
-            chosen[t] = unused[0] if len(unused) else 0
-        else:
-            digest = hashlib.md5(f"{tag}:{t}".encode()).digest()
-            u = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-            cum = np.cumsum(d2min)
-            idx = int(np.searchsorted(cum, u * total, side="right"))
-            chosen[t] = min(idx, n - 1)
-        d2 = ((points - points[chosen[t]][None, :]) ** 2).sum(axis=1)
-        d2min = np.minimum(d2min, d2)
-    return points[chosen].copy()
-
-
-def _pq_train_codebooks(sample: np.ndarray, m_sub: int, ks: int,
-                        n_iter: int = 8) -> np.ndarray:
-    """Per-subspace Lloyd on a driver-side SAMPLE (codebook training
-    needs a sample, not the corpus — the sample is bounded by design).
-
-    Each subspace trains TWICE — once from the first-ks rows, once
-    from md5-rank k-means++ seeding (tag "pq:<j>") — and keeps the
-    codebook with the lower sample quantization error (tie → the
-    first-ks book). Measured rationale: on clustered data k-means++
-    halves the error (first-ks can start every codeword inside one
-    blob), but on near-uniform data it is pure seeding noise — the
-    per-subspace best-of pick is deterministic and never worse than
-    either init alone on the sample it trains from. Plain argmin
-    assignment, empty clusters keep their previous centroid.
-    Returns (m_sub, ks, dsub)."""
-    n, d = sample.shape
-    if m_sub <= 0 or d % m_sub != 0:
-        raise ValueError(
-            f"m_sub={m_sub} must evenly divide the embedding dim {d} "
-            "(a remainder would silently drop trailing dimensions)"
-        )
-    if n < ks:
-        raise ValueError(
-            f"PQ training sample has {n} rows < ks={ks} codebook "
-            "entries; lower ks or raise n_sample"
-        )
-    dsub = d // m_sub
-    books = np.empty((m_sub, ks, dsub), dtype=np.float64)
-
-    def lloyd(sub: np.ndarray, cb: np.ndarray) -> np.ndarray:
-        for _ in range(n_iter):
-            assign = _sqdist(sub, cb).argmin(axis=1)
-            new = cb.copy()
-            for c in range(ks):
-                mask = assign == c
-                if mask.any():
-                    new[c] = sub[mask].mean(axis=0)
-            if np.allclose(new, cb, atol=1e-12):
-                break
-            cb = new
-        return cb
-
-    for j in range(m_sub):
-        sub = sample[:, j * dsub:(j + 1) * dsub]
-        first = lloyd(sub, sub[:ks].copy())
-        seeded = lloyd(sub, _kmeanspp_init(sub, ks, tag=f"pq:{j}"))
-        # quantize before the pick (repo invariant: floats feeding
-        # decisions are quantized) — a last-bit kernel difference must
-        # not flip which codebook ships
-        err_first = float(np.round(_sqdist(sub, first).min(axis=1).sum(), 9))
-        err_seeded = float(np.round(_sqdist(sub, seeded).min(axis=1).sum(), 9))
-        books[j] = seeded if err_seeded < err_first else first
-    return books
-
-
-def _pq_encode(mn: np.ndarray, books: np.ndarray) -> np.ndarray:
-    """(B, d) normalized vectors -> (B, m_sub) uint8 codes."""
-    m_sub, ks, dsub = books.shape
-    codes = np.empty((mn.shape[0], m_sub), dtype=np.uint8)
-    for j in range(m_sub):
-        sub = mn[:, j * dsub:(j + 1) * dsub]
-        d2 = _sqdist(sub, books[j])
-        codes[:, j] = d2.argmin(axis=1).astype(np.uint8)
-    return codes
-
-
-def ann_topk_pq(
-    sf_dir: str, k: int = 10, query_vec_id: int = 0,
-    m_sub: int = 8, ks: int = 16, rerank: int = 64,
-    n_sample: int = 2048,
-) -> pa.Table:
-    """PQ-ADC top-k with exact rerank. Output schema and rounding
-    contract match ann_topk_bruteforce (vec_id, cos_sim rounded 6dp).
-
-    All vectors are L2-normalized first, so squared L2 is monotone in
-    cosine (||a-b||^2 = 2 - 2 cos) and one ADC table drives a cosine
-    search. Per batch: decode-free LUT scan (one (m_sub, ks) table
-    lookup-sum per row), partial top-`rerank` by (adc, vec_id), raw
-    vectors carried ONLY for those candidates. The driver trims the
-    union to the GLOBAL adc top-`rerank` before the exact rerank, so
-    the result is a pure function of the data — independent of batch
-    and block layout (pinned in tests/test_ann_pq.py).
-
-    Scale notes: training reads ≤ n_sample vectors via parquet filter
-    pushdown; the scan ships codes, not vectors; driver traffic is
-    ≤ rerank rows per batch, then exactly `rerank` rows total."""
-    path = f"{sf_dir}/embeddings.parquet"
-    books = _pq_train_from_dir(sf_dir, m_sub, ks, n_sample)
-
-    q = _query_vec(sf_dir, query_vec_id)
-    qn = q / np.linalg.norm(q)
-    lut = _adc_lut(qn, books)
-
-    def scan(batch: pa.Table) -> pa.Table:
-        m = _embedding_matrix(batch["embedding"])
-        norms = np.linalg.norm(m, axis=1)
-        mn = m / np.where(norms[:, None] > 0, norms[:, None], 1.0)
-        codes = _pq_encode(mn, books)
-        adc = lut[np.arange(m_sub)[None, :], codes].sum(axis=1)
-        adc = np.round(adc, 9)  # quantize before ordering decisions
-        ids = np.asarray(batch["vec_id"])
-        order = np.lexsort((ids, adc))[:rerank]
-        return pa.table(
-            {
-                "vec_id": pa.array(ids[order], pa.int64()),
-                "adc": pa.array(adc[order], pa.float64()),
-                "emb": pa.array(
-                    [mn[i].tobytes() for i in order], pa.binary()
-                ),
-            }
-        )
-
-    parts = (
-        rd.read_parquet(path, columns=["vec_id", "embedding"])
-        .map_batches(scan, batch_format="pyarrow", batch_size=8192)
-        .to_pandas()  # ≤ rerank rows per batch
-    )
-    # layout-invariance: per-batch top-R union is a superset of the
-    # global adc top-R; trim to exactly that set before reranking
-    parts = parts.sort_values(["adc", "vec_id"]).head(rerank)
-    mn = _binary_matrix(pa.array(parts["emb"].tolist(), pa.binary()),
-                        np.float64)
-    cos = round_like_sql(mn @ qn, 6)
-    ids = parts["vec_id"].to_numpy()
-    order = np.lexsort((ids, -cos))[:k]
-    return pa.table(
-        {
-            "vec_id": pa.array(ids[order], pa.int64()),
-            "cos_sim": pa.array(cos[order], pa.float64()),
-        }
-    )
 
 
 def embedding_near_dup_driver(sf_dir: str) -> pa.Table:

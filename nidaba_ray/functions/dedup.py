@@ -33,10 +33,6 @@ _PAIRS_SCHEMA = pa.schema(
 _HAMMING_SCHEMA = pa.schema(
     [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("hamming", pa.int64())]
 )
-_CONTAINMENT_SCHEMA = pa.schema(
-    [("doc_a", pa.int64()), ("doc_b", pa.int64()),
-     ("containment", pa.float64())]
-)
 _DUP_GROUPS_SCHEMA = pa.schema(
     [("fp", pa.string()), ("n_docs", pa.int64()), ("first_doc", pa.int64())]
 )
@@ -307,23 +303,16 @@ def minhash_candidates(sf_dir: str, num_partitions: int = 16) -> rd.Dataset:
 
 def _verify_jaccard_pairs(
     uniq: rd.Dataset, sf_dir: str, threshold: float,
-    docs: rd.Dataset | None = None, measure: str = "jaccard",
 ) -> pa.Table:
     """EXACT n-gram set-similarity verification of a distinct
     candidate-pair Dataset: two hash joins of the pair list against
     the corpus, with the (pairs-sized) candidate id set broadcast as a
     pre-filter so only candidate documents are shuffled — the driver
     holds ids only, never texts (the 10^12-scale shape). Shared by the
-    MinHash-LSH and prefix-filter paths; ``docs`` overrides the corpus
-    source (the cross-crawl prober passes new-crawl ∪
-    candidate-filtered prior). ``measure`` picks the similarity:
-    ``"jaccard"`` (symmetric, |∩|/|∪|) or ``"containment"``
-    (directional, |∩|/|S(doc_a)| — doc_a is the contained side)."""
-    schema = (_PAIRS_SCHEMA if measure == "jaccard"
-              else _CONTAINMENT_SCHEMA)
+    MinHash-LSH and prefix-filter paths."""
     n_pairs = uniq.count()
     if n_pairs == 0:
-        return schema.empty_table()
+        return _PAIRS_SCHEMA.empty_table()
 
     # candidate id set — ≤ 2×|pairs| ints, tiny relative to the corpus
     ids: set[int] = set()
@@ -360,7 +349,7 @@ def _verify_jaccard_pairs(
     # empty blocks). All of this is pairs-sized — the repartition is
     # cheap by the same argument that lets ids sit on the driver.
     cand_docs = (
-        (docs if docs is not None else _docs(sf_dir, ["doc_id", "text"]))
+        _docs(sf_dir, ["doc_id", "text"])
         .map_batches(only_candidates, batch_format="pyarrow")
         .repartition(min(join_partitions(4), max(1, len(ids))))
         .materialize()  # pairs-sized; joined twice below
@@ -389,10 +378,7 @@ def _verify_jaccard_pairs(
             sa = np.frombuffer(ra, dtype=np.uint64)
             sb = np.frombuffer(rb, dtype=np.uint64)
             inter = np.intersect1d(sa, sb, assume_unique=True).size
-            if measure == "containment":
-                j = inter / max(1, sa.size)
-            else:
-                j = inter / max(1, sa.size + sb.size - inter)
+            j = inter / max(1, sa.size + sb.size - inter)
             if j >= threshold:
                 out_a.append(a_id)
                 out_b.append(b_id)
@@ -401,12 +387,12 @@ def _verify_jaccard_pairs(
             {
                 "doc_a": pa.array(out_a, pa.int64()),
                 "doc_b": pa.array(out_b, pa.int64()),
-                schema.names[2]: pa.array(out_j, pa.float64()),
+                "jaccard": pa.array(out_j, pa.float64()),
             }
         )
 
     out = with_b.map_batches(verify, batch_format="pyarrow").to_pandas()
-    out = ensure_columns(out, schema)
+    out = ensure_columns(out, _PAIRS_SCHEMA)
     # callers may pass locally-deduplicated (not globally distinct)
     # pair lists — duplicates verify to identical rows, dropped here on
     # the pairs-sized result (cheaper than a row-cardinality groupby
@@ -751,126 +737,6 @@ ORDER BY doc_a, doc_b
 """
 
 
-def ngram_containment_pairs(sf_dir: str,
-                            threshold: float = 0.8) -> pa.Table:
-    """EXACT asymmetric containment join: (doc_a, doc_b, containment)
-    with C(a→b) = |S(a)∩S(b)| / |S(a)| ≥ threshold and a ≠ b — doc_a
-    is (mostly) CONTAINED in doc_b. The one-sided measure Jaccard
-    can't express: a short article wholesale-included in a long
-    aggregator page has tiny Jaccard but containment ≈ 1, the shape
-    quote-inclusion / wrapper-page detection needs.
-
-    Prefix filtering still applies, one-sided: if C(a→b) ≥ t then at
-    most ⌊(1−t)·|S(a)|⌋ of a's shingles miss b, so one of a's first
-    ``|S| − ⌈t·|S|⌉ + 1`` shingles (ANY fixed total order — the
-    hot-demoted order of :func:`ngram_jaccard_pairs_exact` reused) is
-    in b. The contained side therefore emits only prefixes; the
-    CONTAINER side must index its FULL shingle set (containment puts
-    no bound on where the witness sits in b's order). The join input
-    is probe-prefix × full-index — linear in shingle rows, never
-    quadratic; the candidate filter keeps |S(b)| ≥ t·|S(a)| (the
-    one-sided length filter: the intersection can't exceed |S(b)|).
-    Skew note: hot shingles drop out of probe prefixes but stay in
-    the index; an index key's row list is inverted-index sized and
-    meets only rare probes, so the join OUTPUT stays flat — at true
-    corpus scale drop universal shingles from both sides (documented
-    epsilon) if an index key's partition outgrows a block.
-    Verification reuses the pairs-sized broadcast-prefilter joins
-    (:func:`_verify_jaccard_pairs`, measure="containment")."""
-    import math
-
-    hot = _hot_shingles(sf_dir)
-
-    def _ordered(text: str) -> tuple[np.ndarray, int]:
-        sh = np.unique(shingle_hashes(text))
-        if len(hot):
-            is_hot = np.isin(sh, hot)
-            return np.concatenate([sh[~is_hot], sh[is_hot]]), len(sh)
-        return sh, len(sh)
-
-    def probe_rows(batch: pa.Table) -> pa.Table:
-        sh_col, doc_col, n_col = [], [], []
-        for doc_id, text in zip(batch["doc_id"].to_pylist(),
-                                batch["text"].to_pylist()):
-            ordered, n = _ordered(text)
-            plen = n - math.ceil(threshold * n) + 1
-            for h in ordered[:plen]:
-                sh_col.append(int(h))
-                doc_col.append(doc_id)
-                n_col.append(n)
-        return pa.table({
-            "shingle": pa.array(
-                np.array(sh_col, dtype=np.uint64).view(np.int64)),
-            "doc_id": pa.array(doc_col, pa.int64()),
-            "n_sh": pa.array(n_col, pa.int32()),
-        })
-
-    def index_rows(batch: pa.Table) -> pa.Table:
-        sh_col, doc_col, n_col = [], [], []
-        for doc_id, text in zip(batch["doc_id"].to_pylist(),
-                                batch["text"].to_pylist()):
-            sh = np.unique(shingle_hashes(text))
-            for h in sh:
-                sh_col.append(int(h))
-                doc_col.append(doc_id)
-                n_col.append(len(sh))
-        return pa.table({
-            "shingle": pa.array(
-                np.array(sh_col, dtype=np.uint64).view(np.int64)),
-            "doc_id": pa.array(doc_col, pa.int64()),
-            "n_sh": pa.array(n_col, pa.int32()),
-        })
-
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    probe = docs.map_batches(probe_rows, batch_format="pyarrow")
-    index = docs.map_batches(index_rows, batch_format="pyarrow")
-    joined = probe.join(
-        index, "inner", join_partitions(8), on=("shingle",),
-        left_suffix="_a", right_suffix="_b",
-    )
-
-    def to_pairs(batch: pa.Table) -> pa.Table:
-        mask = pc.and_(
-            pc.not_equal(batch["doc_id_a"], batch["doc_id_b"]),
-            # one-sided length filter (ε keeps exact boundaries)
-            pc.greater_equal(
-                pc.cast(batch["n_sh_b"], pa.float64()),
-                pc.subtract(
-                    pc.multiply(pc.cast(batch["n_sh_a"], pa.float64()),
-                                pa.scalar(float(threshold))),
-                    pa.scalar(1e-9),
-                ),
-            ),
-        )
-        b = batch.filter(mask)
-        return pa.table(
-            {"doc_a": b["doc_id_a"], "doc_b": b["doc_id_b"]}
-        ).group_by(["doc_a", "doc_b"]).aggregate([])  # local distinct
-
-    pairs = joined.map_batches(to_pairs, batch_format="pyarrow").materialize()
-    return _verify_jaccard_pairs(pairs, sf_dir, threshold,
-                                 measure="containment")
-
-
-def ngram_containment_sql(threshold: float = 0.8) -> str:
-    """Oracle for :func:`ngram_containment_pairs`: the one-sided
-    prefix join is lossless, so brute-force directional all-pairs SQL
-    over the distinct shingle strings is a true oracle."""
-    return f"""
-WITH {_SHINGLE_SQL_CTE.strip()},
-inter AS (
-  SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, count(*) AS c
-  FROM sh a JOIN sh b ON a.g = b.g AND a.doc_id <> b.doc_id
-  GROUP BY 1, 2
-)
-SELECT doc_a, doc_b, ROUND(c * 1.0 / sa.n, 4) AS containment
-FROM inter
-JOIN sizes sa ON sa.doc_id = doc_a
-WHERE c * 1.0 / sa.n >= {threshold}
-ORDER BY doc_a, doc_b
-"""
-
-
 # ---------------------------------------------------------------------------
 # SimHash
 # ---------------------------------------------------------------------------
@@ -1140,404 +1006,3 @@ DUP_CLUSTERS_EXACT_SQL = """
 SELECT doc_id, MIN(doc_id) OVER (PARTITION BY md5(text)) AS cluster_id
 FROM documents
 """
-
-
-# ---------------------------------------------------------------------------
-# Cross-document paragraph (line-level) dedup — the CCNet/C4-style
-# corpus-statistical boilerplate remover
-# ---------------------------------------------------------------------------
-
-def dedup_paragraphs(sf_dir: str, max_df: int = 1,
-                     column: str = "text",
-                     max_broadcast: int = 4_000_000) -> rd.Dataset:
-    """Remove every line that appears in more than ``max_df`` DISTINCT
-    documents, then drop documents left with no lines (the public
-    CCNet paragraph-dedup / C4 boilerplate-line recipe: a line shared
-    across many pages is site furniture, not content).
-
-    Scale shape — two streaming passes, payloads never shuffle:
-
-    1. *df counts*: per batch, each doc contributes its DISTINCT line
-       fingerprints (md5_64 — repo md5-only invariant), pre-counted
-       within the batch, so the only shuffle is a groupby-sum over
-       (fp, n) partials — 16 bytes per distinct line per batch.
-    2. *rewrite*: when the over-threshold survivors fit
-       ``max_broadcast`` they are broadcast (boilerplate-sized on
-       ordinary corpora — a line must recur in > max_df documents to
-       qualify) and the rewrite is shuffle-free: drop frequent lines
-       per row against the broadcast fp set (``pc.is_in``), rejoin
-       with newline. On a heavily MIRRORED corpus the frequent set can
-       approach line cardinality and the broadcast precondition fails
-       (round-4 verdict item 1) — the fallback routes through the
-       generalized :func:`_covered_rewrite_shuffled` with newline-split
-       1-grams (a line is its own gram), pinned output-equal in
-       ``tests/test_scrub_paradedup.py``: the shuffle carries
-       (fp, doc_id, line-position) rows, never the text payloads.
-
-    Splitting is ``str.split("\\n")`` — byte-identical to DuckDB
-    ``string_split(text, chr(10))``, which the pytest oracle uses
-    (raw line STRINGS in SQL; equal sets absent an md5_64 collision —
-    the Jaccard-oracle argument)."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    def fp_partials(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for t in batch[column].to_pylist():
-            counts.update({_md5_64(ln) for ln in t.split("\n")})
-        fps, ns = zip(*counts.items()) if counts else ((), ())
-        return pa.table({
-            "fp": pa.array(np.array(list(fps), dtype=np.uint64)
-                           .view(np.int64)),
-            "n": pa.array(list(ns), pa.int64()),
-        })
-
-    docs = _docs(sf_dir, ["doc_id", column])
-    df_counts = (
-        docs.map_batches(fp_partials, batch_format="pyarrow")
-        .groupby("fp").aggregate(Sum("n", alias_name="df"))
-    )
-    frequent = df_counts.filter(
-        expr=f"df > {int(max_df)}"
-    ).select_columns(["fp"]).materialize()
-    if frequent.count() > max_broadcast:
-        return _covered_rewrite_shuffled(docs, frequent, 1, column,
-                                         sep="\n", emit_removed=False)
-    freq_chunks = [b["fp"] for b in frequent.iter_batches(batch_format="pyarrow")
-                   if b.num_rows]
-    freq_arr = (pa.concat_arrays([c.combine_chunks() if isinstance(c, pa.ChunkedArray)
-                                  else c for c in freq_chunks])
-                if freq_chunks else pa.array([], pa.int64()))
-    freq_ref = ray.put(freq_arr)
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        freq = ray.get(freq_ref)
-        out_ids, out_texts = [], []
-        for did, t in zip(batch["doc_id"].to_pylist(),
-                          batch[column].to_pylist()):
-            lines = t.split("\n")
-            fps = pa.array(np.fromiter(
-                (_md5_64(ln) for ln in lines), dtype=np.uint64,
-                count=len(lines)).view(np.int64))
-            drop = pc.is_in(fps, value_set=freq).to_numpy(
-                zero_copy_only=False)
-            kept = [ln for ln, d in zip(lines, drop) if not d]
-            if kept:
-                out_ids.append(did)
-                out_texts.append("\n".join(kept))
-        return pa.table({"doc_id": pa.array(out_ids, pa.int64()),
-                         column: pa.array(out_texts, pa.string())})
-
-    return docs.map_batches(rewrite, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# Token n-gram fingerprints (shared by duplicate-span removal and
-# benchmark decontamination)
-# ---------------------------------------------------------------------------
-
-def _token_ngram_fps(tokens: list[str], n: int) -> np.ndarray:
-    """md5_64 per consecutive token n-gram, in position order
-    (< n tokens → no fingerprints)."""
-    if len(tokens) < n:
-        return np.array([], dtype=np.uint64)
-    return np.fromiter(
-        (_md5_64(" ".join(tokens[i:i + n]))
-         for i in range(len(tokens) - n + 1)),
-        dtype=np.uint64, count=len(tokens) - n + 1,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Cross-document duplicate-SPAN removal — exact substring dedup (the
-# public Lee et al. 2021 "Deduplicating Training Data Makes Language
-# Models Better" ExactSubstr recipe, re-expressed over token n-grams)
-# ---------------------------------------------------------------------------
-
-def _cover_and_join(toks: list[str], hot: np.ndarray, n: int,
-                    joiner: str = " ") -> tuple:
-    """Shared cover-mask kernel: hot window starts → kept text.
-    Returns (kept_text or None, n_removed)."""
-    if len(hot):
-        c = np.concatenate(([0], np.cumsum(hot)))
-        idx = np.arange(len(toks))
-        lo = np.maximum(idx - n + 1, 0)
-        hi = np.minimum(idx + 1, len(hot))
-        covered = (c[hi] - c[np.minimum(lo, hi)]) > 0
-    else:
-        covered = np.zeros(len(toks), dtype=bool)
-    kept = [tok for tok, cv in zip(toks, covered) if not cv]
-    if not kept:
-        return None, 0
-    return joiner.join(kept), len(toks) - len(kept)
-
-
-def _covered_rewrite_shuffled(docs: rd.Dataset, frequent: rd.Dataset,
-                              n: int, column: str, sep: str = " ",
-                              joiner: str | None = None,
-                              emit_removed: bool = True) -> rd.Dataset:
-    """The no-broadcast rewrite: gram OCCURRENCES (fp, doc_id, pos)
-    join the frequent-fp Dataset, hot starts pack into one binary
-    array per doc, and a left join carries them back to the payloads —
-    text bytes are read exactly twice and never shuffled; everything
-    that moves is fingerprint/position-sized.
-
-    Generalized over the unit of removal (round-4 verdict item on
-    ``dedup_paragraphs``): ``sep``/``joiner`` pick the token alphabet
-    — space-split tokens with n>1 is duplicate-SPAN removal; newline-
-    split "tokens" with n=1 makes each LINE its own gram, which is
-    exactly the paragraph-dedup rewrite (lines are 1-grams over the
-    line sequence)."""
-    if joiner is None:
-        joiner = sep
-
-    def occurrences(batch: pa.Table) -> pa.Table:
-        fps_col, ids_col, pos_col = [], [], []
-        for did, t in zip(batch["doc_id"].to_pylist(),
-                          batch[column].to_pylist()):
-            g = _token_ngram_fps(t.split(sep), n)
-            if len(g):
-                fps_col.append(g.view(np.int64))
-                ids_col.append(np.full(len(g), did, dtype=np.int64))
-                pos_col.append(np.arange(len(g), dtype=np.int64))
-        if fps_col:
-            return pa.table({
-                "fp": pa.array(np.concatenate(fps_col)),
-                "doc_id": pa.array(np.concatenate(ids_col)),
-                "pos": pa.array(np.concatenate(pos_col)),
-            })
-        return pa.table({"fp": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "pos": pa.array([], pa.int64())})
-
-    # occurrences × frequent: both sides hash-partition on fp; output
-    # is (hot start) rows only. BOTH sides are split-repartitioned to
-    # ≤ their row counts first — a batch of only <n-token docs emits a
-    # 0-row block, and a 0-row FIRST block poisons the join's schema
-    # broadcast (the Ray 2.49 hazard _verify_jaccard_pairs documents).
-    occ = docs.map_batches(occurrences, batch_format="pyarrow").materialize()
-    n_occ = occ.count()
-    if n_occ == 0:
-        if not emit_removed:  # no grams anywhere: identity
-            return docs
-        return docs.map_batches(  # identity + n_removed=0
-            lambda t: t.append_column(
-                "n_removed", pa.array([0] * t.num_rows, pa.int64())),
-            batch_format="pyarrow",
-        )
-    occ = occ.repartition(min(join_partitions(8), n_occ))
-    nf = max(1, frequent.count())
-    hot = occ.join(
-        frequent.repartition(min(join_partitions(4), nf)),
-        "inner", join_partitions(8), on=("fp",),
-    ).select_columns(["doc_id", "pos"])
-
-    def pack_positions(g: pd.DataFrame) -> pd.DataFrame:
-        pos = np.sort(g["pos"].to_numpy(dtype=np.int64))
-        return pd.DataFrame({"doc_id": [int(g["doc_id"].iloc[0])],
-                             "hot_pos": [pos.tobytes()]})
-
-    packed = hot.groupby("doc_id").map_groups(
-        pack_positions, batch_format="pandas"
-    )
-    joined = docs.join(
-        packed, "left_outer", join_partitions(8), on=("doc_id",),
-    )
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        out_ids, out_texts, out_removed = [], [], []
-        for did, t, pk in zip(batch["doc_id"].to_pylist(),
-                              batch[column].to_pylist(),
-                              batch["hot_pos"].to_pylist()):
-            toks = t.split(sep)
-            n_windows = max(0, len(toks) - n + 1)
-            hot_mask = np.zeros(n_windows, dtype=bool)
-            if pk is not None and n_windows:
-                hot_mask[np.frombuffer(pk, dtype=np.int64)] = True
-            text, removed = _cover_and_join(toks, hot_mask, n, joiner)
-            if text is not None:
-                out_ids.append(did)
-                out_texts.append(text)
-                out_removed.append(removed)
-        cols = {
-            "doc_id": pa.array(out_ids, pa.int64()),
-            column: pa.array(out_texts, pa.string()),
-        }
-        if emit_removed:
-            cols["n_removed"] = pa.array(out_removed, pa.int64())
-        return pa.table(cols)
-
-    return joined.map_batches(rewrite, batch_format="pyarrow")
-
-
-def remove_duplicate_spans(sf_dir: str, n: int = 8, max_df: int = 1,
-                           column: str = "text",
-                           max_broadcast: int = 2_000_000) -> rd.Dataset:
-    """Remove every token that is covered by a token ``n``-gram
-    occurring in more than ``max_df`` DISTINCT documents — the
-    substring-level sibling of :func:`dedup_paragraphs` (a span
-    duplicated across pages is syndicated/boilerplate text even when
-    the surrounding lines differ). Documents left with no tokens are
-    dropped; survivors carry an ``n_removed`` token count.
-
-    Scale shape mirrors the paragraph pass: (1) per-batch pre-counted
-    ``(fp, n)`` partials over each doc's DISTINCT n-gram fingerprints
-    → one vocabulary-sized groupby-sum; (2) when the over-threshold
-    survivors fit ``max_broadcast`` they are broadcast
-    (boilerplate-sized on ordinary corpora — an n-gram must recur
-    across documents to qualify) and the rewrite pass is shuffle-free:
-    one vectorized ``pc.is_in`` + a sliding-window OR per row. On a
-    HEAVILY mirrored corpus the frequent set can approach gram
-    cardinality and the broadcast precondition fails — the fallback
-    (:func:`_covered_rewrite_shuffled`, pinned output-equal) joins
-    gram OCCURRENCES against the frequent Dataset instead: the shuffle
-    carries (fp, doc_id, position) rows and packed position arrays,
-    never the text payloads. Fingerprints are md5_64 over the
-    space-joined n-gram (repo md5-only invariant); the pytest oracle
-    replays the same semantics over the raw n-gram STRINGS in DuckDB
-    (equal sets absent an md5 collision — the Jaccard-oracle
-    argument)."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    def gram_fps(tokens: list[str]) -> np.ndarray:
-        return _token_ngram_fps(tokens, n)
-
-    def fp_partials(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for t in batch[column].to_pylist():
-            counts.update(np.unique(gram_fps(t.split(" "))).tolist())
-        fps, ns = zip(*counts.items()) if counts else ((), ())
-        return pa.table({
-            "fp": pa.array(np.array(list(fps), dtype=np.uint64)
-                           .view(np.int64)),
-            "n": pa.array(list(ns), pa.int64()),
-        })
-
-    docs = _docs(sf_dir, ["doc_id", column])
-    df_counts = (
-        docs.map_batches(fp_partials, batch_format="pyarrow")
-        .groupby("fp").aggregate(Sum("n", alias_name="df"))
-    )
-    frequent = df_counts.filter(
-        expr=f"df > {int(max_df)}"
-    ).select_columns(["fp"]).materialize()
-    if frequent.count() > max_broadcast:
-        return _covered_rewrite_shuffled(docs, frequent, n, column)
-    chunks = [b["fp"] for b in frequent.iter_batches(batch_format="pyarrow")
-              if b.num_rows]
-    freq_arr = (pa.concat_arrays([c.combine_chunks() if
-                                  isinstance(c, pa.ChunkedArray) else c
-                                  for c in chunks])
-                if chunks else pa.array([], pa.int64()))
-    freq_ref = ray.put(freq_arr)
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        freq = ray.get(freq_ref)
-        out_ids, out_texts, out_removed = [], [], []
-        for did, t in zip(batch["doc_id"].to_pylist(),
-                          batch[column].to_pylist()):
-            toks = t.split(" ")
-            fps = gram_fps(toks)
-            if len(fps):
-                hot = pc.is_in(
-                    pa.array(fps.view(np.int64)), value_set=freq
-                ).to_numpy(zero_copy_only=False)
-                # token i is covered iff ANY window start in
-                # [i-n+1, i] is hot — a sliding-window OR via the
-                # cumulative count of hot starts
-                c = np.concatenate(([0], np.cumsum(hot)))
-                idx = np.arange(len(toks))
-                lo = np.maximum(idx - n + 1, 0)
-                hi = np.minimum(idx + 1, len(fps))
-                covered = (c[hi] - c[np.minimum(lo, hi)]) > 0
-            else:
-                covered = np.zeros(len(toks), dtype=bool)
-            kept = [tok for tok, d in zip(toks, covered) if not d]
-            if kept:
-                out_ids.append(did)
-                out_texts.append(" ".join(kept))
-                out_removed.append(len(toks) - len(kept))
-        return pa.table({
-            "doc_id": pa.array(out_ids, pa.int64()),
-            column: pa.array(out_texts, pa.string()),
-            "n_removed": pa.array(out_removed, pa.int64()),
-        })
-
-    return docs.map_batches(rewrite, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# Benchmark decontamination — flag training documents that collide
-# with a held-out evaluation set (the public GPT-3 appendix-C /
-# Dolma/Llama recipe: any shared token n-gram marks contamination)
-# ---------------------------------------------------------------------------
-
-def decontaminate_flags(sf_dir: str, benchmark_texts: list[str],
-                        n: int = 13, column: str = "text") -> rd.Dataset:
-    """(doc_id, n_hits, contaminated) per corpus document: ``n_hits``
-    = how many of the doc's token ``n``-grams appear anywhere in the
-    benchmark set, ``contaminated`` = n_hits > 0. Default n=13 is the
-    published GPT-3 convention.
-
-    Scale shape: an eval benchmark is small BY DEFINITION (thousands
-    of items, not billions), so its distinct n-gram fingerprint set is
-    broadcast once via ``ray.put`` and the corpus pass is a single
-    shuffle-free ``map_batches`` with one vectorized ``pc.is_in`` per
-    row — the same broadcast-small-side shape as the spell lexicons.
-    Fingerprints are md5_64 over the space-joined n-gram (md5-only
-    invariant); the pytest oracle replays the raw n-gram STRINGS in
-    DuckDB."""
-    fps: set[int] = set()
-    for t in benchmark_texts:
-        fps.update(_token_ngram_fps(t.split(" "), n).tolist())
-    bench_arr = pa.array(
-        np.sort(np.array(sorted(fps), dtype=np.uint64)).view(np.int64)
-    ) if fps else pa.array([], pa.int64())
-    bench_ref = ray.put(bench_arr)
-
-    def flag(batch: pa.Table) -> pa.Table:
-        bench = ray.get(bench_ref)
-        hits = np.zeros(batch.num_rows, dtype=np.int64)
-        for i, t in enumerate(batch[column].to_pylist()):
-            g = _token_ngram_fps(t.split(" "), n)
-            if len(g):
-                m = pc.is_in(pa.array(g.view(np.int64)), value_set=bench)
-                hits[i] = int(pc.sum(pc.cast(m, pa.int64())).as_py() or 0)
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "n_hits": pa.array(hits),
-            "contaminated": pa.array(hits > 0),
-        })
-
-    return _docs(sf_dir, ["doc_id", column]).map_batches(
-        flag, batch_format="pyarrow")
-
-
-def decontaminated_corpus(sf_dir: str, benchmark_texts: list[str],
-                          n: int = 13, column: str = "text") -> rd.Dataset:
-    """The filter composition: corpus documents with NO benchmark
-    n-gram collision (doc payloads never shuffle — the flag pass and
-    the gate fuse into one streaming map_batches chain)."""
-    fps: set[int] = set()
-    for t in benchmark_texts:
-        fps.update(_token_ngram_fps(t.split(" "), n).tolist())
-    bench_arr = pa.array(
-        np.sort(np.array(sorted(fps), dtype=np.uint64)).view(np.int64)
-    ) if fps else pa.array([], pa.int64())
-    bench_ref = ray.put(bench_arr)
-
-    def gate(batch: pa.Table) -> pa.Table:
-        bench = ray.get(bench_ref)
-        keep = np.ones(batch.num_rows, dtype=bool)
-        for i, t in enumerate(batch[column].to_pylist()):
-            g = _token_ngram_fps(t.split(" "), n)
-            if len(g):
-                m = pc.is_in(pa.array(g.view(np.int64)), value_set=bench)
-                keep[i] = not pc.any(m).as_py()
-        return batch.filter(pa.array(keep))
-
-    return _docs(sf_dir, ["doc_id", column]).map_batches(
-        gate, batch_format="pyarrow")

@@ -30,11 +30,11 @@ set. The published algorithm, re-expressed Ray-Data-first:
 Scale shape (the 100 TB question):
 
 * Fitting reads a pushdown-bounded sample (``doc_id <
-  DSIR_SAMPLE_DOCS`` — a parquet row filter, the ``lm.train_charlm``
-  idiom) and shuffles only per-batch pre-binned ``(bucket, n_raw,
-  n_tgt)`` partials through one groupby-sum; the aggregate is
-  B-sized, never corpus-sized. The fitted llr vector (8 KiB) is
-  memoized per corpus content and broadcast once via ``ray.put``.
+  DSIR_SAMPLE_DOCS`` — a parquet row filter) and shuffles only
+  per-batch pre-binned ``(bucket, n_raw, n_tgt)`` partials through
+  one groupby-sum; the aggregate is B-sized, never corpus-sized.
+  The fitted llr vector (8 KiB) is memoized per corpus content and
+  broadcast once via ``ray.put``.
 * Scoring is one streaming map_batches pass — no shuffle, payloads
   never move.
 * Selection is a per-batch top-k COMBINER (each batch forwards ≤ k
@@ -51,7 +51,7 @@ inputs, which the 6-dp micro quantization absorbs — flip probability
 
 The reference engine has no data-selection operator; this belongs to
 the training-data family the builder brief adds on top of SURVEY.md
-§2 (dedup, LM perplexity, quality gates, mixture sampling — DSIR is
+§2 (dedup, quality gates, mixture sampling — DSIR is
 the published importance-resampling member).
 """
 

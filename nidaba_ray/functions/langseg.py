@@ -16,8 +16,8 @@ per-document language (``nidaba/tasks/postprocessing.py:≈spell_check``
 takes one ``language=`` kwarg per page); per-paragraph segmentation is
 the finer-grained replacement a web corpus needs.
 
-Scale shape: both operators are single-pass stateless/actor-pool
-``map_batches`` over the documents table — a document's paragraphs
+Scale shape: the segment table and the ``clean.langseg`` stage are
+single-pass ``map_batches`` over the documents table — a document's paragraphs
 never leave the row, so there is NO shuffle; the summary is computed
 in the same batch that segments it. Token→gram sets are memoized per
 actor (Zipfian reuse), mirroring ``LangId``.
@@ -26,10 +26,10 @@ Determinism: paragraph split is on the single byte ``\\n``; a segment
 is kept iff it is non-empty after stripping ASCII spaces (exactly
 DuckDB ``trim(p, ' ') <> ''``); confidences are quantized with
 ``round_like_sql`` before they leave the kernel; the majority
-tie-break is a total order (char mass desc, lang asc). Both operators
-are replayed byte-for-byte in DuckDB (``lang_segments_sql`` /
-``lang_seg_summary_sql``), sharing the inlined profile VALUES with
-``lang_id_sql`` so the two sides cannot drift.
+tie-break is a total order (char mass desc, lang asc). The segment
+table is replayed byte-for-byte in DuckDB (``lang_segments_sql``),
+sharing the inlined profile VALUES with ``lang_id_sql`` so the two
+sides cannot drift.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ from nidaba_ray.functions.textops import (
 __all__ = [
     "LangSegments",
     "lang_segments",
-    "lang_seg_summary",
     "lang_segments_sql",
-    "lang_seg_summary_sql",
     "lang_segment_batch",
 ]
 
@@ -183,14 +181,6 @@ def lang_segments(sf_dir: str) -> rd.Dataset:
     )
 
 
-def lang_seg_summary(sf_dir: str) -> rd.Dataset:
-    """Per-document mixed-language summary."""
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        LangSegSummary, batch_format="pyarrow", batch_size=2048,
-        concurrency=(1, 4),
-    )
-
-
 def lang_segment_batch(batch: pa.Table) -> pa.Table:
     """Registry stage (``clean.langseg``): annotate a documents batch
     with ``majority_lang`` / ``is_mixed`` columns (schema-preserving
@@ -273,52 +263,4 @@ FROM segs s
 JOIN best b ON b.doc_id = s.doc_id AND b.para_idx = s.para_idx
            AND b.rn = 1
 ORDER BY s.doc_id, s.para_idx
-"""
-
-
-def lang_seg_summary_sql() -> str:
-    """Byte-parity replay of :func:`lang_seg_summary` — majority by
-    character mass with the lang-asc tie-break, switches via LAG over
-    paragraph order, zero-segment docs joined back as ('und', 0)."""
-    return f"""
-WITH {_SEG_CTES.format(values=profile_values_sql())},
-per AS (
-  SELECT s.doc_id, s.para_idx, b.pred_lang,
-         length(s.para) AS n_chars
-  FROM segs s
-  JOIN best b ON b.doc_id = s.doc_id AND b.para_idx = s.para_idx
-             AND b.rn = 1
-),
-mass AS (
-  SELECT doc_id, pred_lang, SUM(n_chars) AS ch
-  FROM per GROUP BY doc_id, pred_lang
-),
-maj AS (
-  SELECT doc_id, pred_lang AS majority_lang,
-         ROW_NUMBER() OVER (PARTITION BY doc_id
-                            ORDER BY ch DESC, pred_lang ASC) AS rn
-  FROM mass
-),
-sw AS (
-  SELECT doc_id,
-         COUNT(*) FILTER (WHERE prev IS NOT NULL
-                          AND pred_lang <> prev) AS n_switches,
-         COUNT(*) AS n_segments,
-         COUNT(DISTINCT pred_lang) AS n_langs
-  FROM (SELECT doc_id, pred_lang,
-               LAG(pred_lang) OVER (PARTITION BY doc_id
-                                    ORDER BY para_idx) AS prev
-        FROM per)
-  GROUP BY doc_id
-)
-SELECT d.doc_id,
-       COALESCE(sw.n_segments, 0) AS n_segments,
-       COALESCE(m.majority_lang, 'und') AS majority_lang,
-       COALESCE(sw.n_langs, 0) AS n_langs,
-       COALESCE(sw.n_switches, 0) AS n_switches,
-       COALESCE(sw.n_langs, 0) > 1 AS is_mixed
-FROM documents d
-LEFT JOIN maj m ON m.doc_id = d.doc_id AND m.rn = 1
-LEFT JOIN sw ON sw.doc_id = d.doc_id
-ORDER BY d.doc_id
 """

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
 
 __all__ = [
     "CC_LICENSE_PATTERN",
@@ -38,8 +37,6 @@ __all__ = [
     "annotate_license_batch",
     "license_filter_batch",
     "license_expr_sql",
-    "license_counts",
-    "license_counts_sql",
 ]
 
 # (?i): hosts are case-insensitive and CC paths appear uppercased in
@@ -119,94 +116,3 @@ def license_expr_sql(column: str = "html") -> str:
     for find, repl in LICENSE_REPLACEMENTS:
         expr = f"replace({expr}, '{find}', '{repl}')"
     return expr
-
-
-# doc_id % 9 → the page's declared license URL ('' = none). The URL
-# forms deliberately vary scheme, host case, path case and trailing
-# segments so the detector's (?i) + leftmost-match contract is
-# exercised by the corpus itself, not just by unit pins.
-LICENSE_URL_GRID: tuple[tuple[str, str], ...] = (
-    ("", ""),
-    ("cc-by-4.0", "https://CreativeCommons.org/licenses/by/4.0/"),
-    ("cc-by-sa-3.0", "http://creativecommons.org/licenses/by-sa/3.0/deed.en"),
-    ("", ""),
-    ("cc0-1.0", "https://creativecommons.org/publicdomain/zero/1.0/"),
-    ("cc-by-nc-4.0", "https://creativecommons.org/LICENSES/BY-NC/4.0/"),
-    ("publicdomain", "//creativecommons.org/publicdomain/mark/1.0/"),
-    ("cc-by-nc-nd-2.5", "https://creativecommons.org/licenses/by-nc-nd/2.5/"),
-    ("", ""),
-)
-
-
-def license_pages(sf_dir: str) -> rd.Dataset:
-    """(doc_id, html) pages whose footer declares the grid license for
-    ``doc_id % 9`` — a deterministic generator (pure function of
-    doc_id + documents.text), so the license rollup's oracle can
-    replay the ASSIGNMENT in SQL without replaying the scanner (the
-    streaming_extract_stats promotion idiom: the source generator is
-    the replayable half, the Ray side really scans bytes)."""
-
-    def build(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy()
-        texts = batch["text"].to_pylist()
-        html = []
-        for doc_id, text in zip(ids, texts):
-            _, url = LICENSE_URL_GRID[int(doc_id) % 9]
-            footer = (
-                f'<footer><a rel="license" href="{url}">license</a></footer>'
-                if url else "<footer>all rights reserved</footer>"
-            )
-            html.append(
-                f"<html><body><p>{text}</p>{footer}</body></html>".encode()
-            )
-        return pa.table({"doc_id": batch["doc_id"],
-                         "html": pa.array(html, pa.binary())})
-
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(build, batch_format="pyarrow")
-
-
-def license_counts(sf_dir: str) -> pa.Table:
-    """Corpus rollup: documents per detected license slug over the
-    deterministic license-page corpus. Shaped like a queries() entry:
-    partial counts inside map_batches, one tiny groupby at the end."""
-    pages = license_pages(sf_dir)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        lic = detect_license(batch["html"])
-        counts = pc.value_counts(lic)
-        return pa.table({
-            "license": counts.field("values"),
-            "n": pc.cast(counts.field("counts"), pa.int64()),
-        })
-
-    from ray.data.aggregate import Sum
-
-    out = (
-        pages.map_batches(partial, batch_format="pyarrow")
-        .repartition(1)
-        .groupby("license")
-        .aggregate(Sum("n", alias_name="n_docs"))
-        .to_pandas()
-        .sort_values("license")
-        .reset_index(drop=True)
-        .astype({"license": "string", "n_docs": "int64"})
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-def license_counts_sql() -> str:
-    """Oracle for :func:`license_counts`: replays the GENERATOR's
-    doc_id % 9 license assignment (never the byte scanner — the Ray
-    side genuinely extracts URLs from page bytes, the SQL side knows
-    what the generator planted; matching counts prove the scan)."""
-    cases = " ".join(
-        f"WHEN {i} THEN '{slug}'"
-        for i, (slug, _) in enumerate(LICENSE_URL_GRID) if slug
-    )
-    return (
-        f"SELECT CASE doc_id % 9 {cases} ELSE '' END AS license, "
-        "CAST(COUNT(*) AS BIGINT) AS n_docs FROM documents "
-        "GROUP BY 1 ORDER BY license"
-    )

@@ -1,6 +1,6 @@
 """Link-graph construction from raw pages — the classic web-pipeline
 step between crawling and ranking: harvest ``<a href>`` edges with
-their anchor text, then aggregate page edges into a host graph.
+their anchor text.
 
 Contract kept deliberately regex-expressible so DuckDB replays it
 byte-for-byte: one RE2 pattern finds anchor elements and captures the
@@ -16,20 +16,16 @@ relative ``//``) hrefs yield their authority, ASCII-case-folded (the
 urls.py fold — DuckDB ``lower()`` is Unicode-aware and would
 diverge); every other href is a SELF edge to the page's own host —
 the deterministic stand-in for relative-URL resolution (path-level
-resolution never changes the host, which is all the host graph
-keeps).
+resolution never changes the host).
 
 Scale notes: harvesting is a stateless flat-map (pages in, narrow
-edge rows out; payloads never leave the stage); the host graph is a
-per-batch (src, dst) count combiner feeding one grouped aggregate
-whose key cardinality is the distinct host-pair count.
+edge rows out; payloads never leave the stage).
 """
 
 from __future__ import annotations
 
 import re
 
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
@@ -37,10 +33,7 @@ from nidaba_ray.functions.urls import _ASCII_FOLD
 
 __all__ = [
     "LINK_PATTERN", "HOST_PATTERN",
-    "harvest_links_batch", "page_links", "host_graph",
-    "page_links_sql", "host_graph_sql",
-    "host_anchors", "top_anchor_per_host",
-    "host_anchors_sql", "top_anchor_sql",
+    "harvest_links_batch", "page_links", "page_links_sql",
 ]
 
 # one pattern, three capture groups: (1) double-quoted href,
@@ -133,86 +126,6 @@ def page_links(pages: rd.Dataset, html_col: str = "html",
         batch_format="pyarrow")
 
 
-def host_graph(pages: rd.Dataset, html_col: str = "html",
-               key_col: str = "url") -> rd.Dataset:
-    """(src_host, dst_host, n_links) host-level edge list: a per-batch
-    count combiner (one row per host pair per batch) feeding one
-    grouped sum — the shuffle moves host-pair counts, never links."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        links = harvest_links_batch(batch, html_col, key_col)
-        if len(links) == 0:
-            return pa.table({
-                "src_host": pa.array([], pa.string()),
-                "dst_host": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            })
-        df = links.to_pandas()
-        df["src_host"] = [_page_host(u) for u in df[key_col]]
-        g = (df.groupby(["src_host", "dst_host"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return (
-        pages.map_batches(partial, batch_format="pyarrow")
-        .groupby(["src_host", "dst_host"])
-        .aggregate(Sum("n", alias_name="n_links"))
-    )
-
-
-def host_anchors(pages: rd.Dataset, html_col: str = "html",
-                 key_col: str = "url") -> rd.Dataset:
-    """(dst_host, anchor, n_links) — inbound anchor-text frequency per
-    target host, the classic anchor-text relevance signal (search
-    indexing / link-spam detection). Empty anchors (image links, icon
-    buttons) are dropped.
-
-    Scale shape: the same combiner discipline as :func:`host_graph` —
-    a per-batch (dst_host, anchor) count reduces each batch to its
-    distinct pairs before ONE grouped sum; page payloads never leave
-    the harvest stage."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        links = harvest_links_batch(batch, html_col, key_col)
-        df = links.to_pandas()
-        df = df[df["anchor"] != ""]
-        if len(df) == 0:
-            return pa.table({
-                "dst_host": pa.array([], pa.string()),
-                "anchor": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            })
-        g = (df.groupby(["dst_host", "anchor"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return (
-        pages.map_batches(partial, batch_format="pyarrow")
-        .groupby(["dst_host", "anchor"])
-        .aggregate(Sum("n", alias_name="n_links"))
-    )
-
-
-def top_anchor_per_host(pages: rd.Dataset, html_col: str = "html",
-                        key_col: str = "url") -> rd.Dataset:
-    """(dst_host, anchor, n_links) — each host's most frequent inbound
-    anchor text (ties break anchor-ascending, the repo's total-order
-    rule). One grouped reduce over the already-aggregated anchor
-    counts; group size is bounded by a host's distinct anchor texts."""
-    import pandas as pd
-
-    def pick(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["n_links", "anchor"],
-                            ascending=[False, True], kind="mergesort")
-        return df.head(1)[["dst_host", "anchor", "n_links"]]
-
-    return (host_anchors(pages, html_col, key_col)
-            .groupby("dst_host")
-            .map_groups(pick, batch_format="pandas"))
-
-
 def _sql_quote(p: str) -> str:
     return p.replace("'", "''")
 
@@ -261,47 +174,4 @@ WHERE href <> ''
   AND NOT (regexp_extract(href, '{_sql_quote(SCHEME_PATTERN)}') <> ''
            AND regexp_extract(href, '{host_p}', 1) = '')
 ORDER BY {key_col}, link_idx
-"""
-
-
-def host_anchors_sql(table: str = "pages", html_col: str = "html",
-                     key_col: str = "url") -> str:
-    return f"""
-WITH links AS ({page_links_sql(table, html_col, key_col)})
-SELECT dst_host, anchor, CAST(COUNT(*) AS BIGINT) AS n_links
-FROM links WHERE anchor <> ''
-GROUP BY dst_host, anchor
-ORDER BY dst_host, anchor
-"""
-
-
-def top_anchor_sql(table: str = "pages", html_col: str = "html",
-                   key_col: str = "url") -> str:
-    return f"""
-WITH counts AS ({host_anchors_sql(table, html_col, key_col)}),
-ranked AS (
-  SELECT dst_host, anchor, n_links,
-         ROW_NUMBER() OVER (PARTITION BY dst_host
-                            ORDER BY n_links DESC, anchor ASC) AS rn
-  FROM counts
-)
-SELECT dst_host, anchor, n_links FROM ranked WHERE rn = 1
-ORDER BY dst_host
-"""
-
-
-def host_graph_sql(table: str = "pages", html_col: str = "html",
-                   key_col: str = "url") -> str:
-    return f"""
-WITH links AS ({page_links_sql(table, html_col, key_col)}),
-hosted AS (
-  SELECT translate(regexp_extract({key_col},
-           '^[A-Za-z][A-Za-z0-9+.-]*://([^/?#]+)', 1),
-           '{_UPPER}', '{_LOWER}') AS src_host,
-         dst_host
-  FROM links
-)
-SELECT src_host, dst_host, CAST(COUNT(*) AS BIGINT) AS n_links
-FROM hosted GROUP BY src_host, dst_host
-ORDER BY src_host, dst_host
 """

@@ -411,142 +411,6 @@ SELECT lang, token, n FROM (
 """
 
 
-def tfidf_top_terms(sf_dir: str, k: int = TOP_TERMS_K) -> pa.Table:
-    """Top-k terms per language by aggregate TF-IDF over that
-    language's subcorpus: score(lang, token) = tf ×
-    ln((1 + n_docs_lang) / (1 + df)), the smoothed IDF. Raw count
-    ranking (top_terms_per_lang) surfaces stopwords; IDF damping is
-    what a corpus-analysis pipeline actually reports.
-
-    Scale shape — ONE shuffle, NO join: because every document is one
-    row, per-batch document frequencies are disjoint across batches,
-    so (lang, token) partials carry BOTH aggregates (tf occurrences
-    and df docs-containing) and a single grouped Sum finalizes them;
-    the per-lang doc totals are a tiny second aggregate captured by
-    closure. Scoring and the per-lang top-k run on the vocab-sized
-    grouped table. Floats are quantized (round_like_sql, 6dp) BEFORE
-    ranking, ties broken by token text — a total order shared with
-    the DuckDB oracle (test-level: the driver surface is capped at
-    50; tests/test_crawls_windows.py::test_tfidf_matches_duckdb)."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pa.table({"lang": batch["lang"], "text": batch["text"]}).to_pandas()
-        df = df.reset_index(names="row")
-        ex = df.assign(token=df["text"].str.split(" ")).explode("token")
-        g = ex.groupby(["lang", "token"], as_index=False).agg(
-            n=("token", "size"), df=("row", "nunique")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    counts = (
-        _docs(sf_dir, ["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby(["lang", "token"])
-        .aggregate(Sum("n", alias_name="n"), Sum("df", alias_name="df"))
-    )
-    def lang_partial(batch: pa.Table) -> pa.Table:
-        g = batch.to_pandas().groupby("lang", as_index=False).size()
-        return pa.Table.from_pandas(
-            g.rename(columns={"size": "n_docs"}), preserve_index=False
-        )
-
-    # partials are ≤ n_langs rows per batch — coalesce to ONE block
-    # before the grouped sum (house pattern: no empty reduce
-    # partitions on a tiny key space)
-    n_docs = (
-        _docs(sf_dir, ["lang"])
-        .map_batches(lang_partial, batch_format="pyarrow")
-        .repartition(1)
-        .groupby("lang")
-        .aggregate(Sum("n_docs", alias_name="n_docs"))
-        .to_pandas()
-    )
-    per_lang = dict(zip(n_docs["lang"], n_docs["n_docs"]))
-
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        nd = per_lang[g["lang"].iloc[0]]
-        g = g.assign(
-            tfidf=round_like_sql(
-                g["n"] * np.log((1.0 + nd) / (1.0 + g["df"])), 6
-            )
-        )
-        g = g.sort_values(["tfidf", "token"],
-                          ascending=[False, True]).head(k)
-        return g[["lang", "token", "n", "df", "tfidf"]].astype(
-            {"lang": "string", "token": "string", "n": "int64",
-             "df": "int64", "tfidf": "float64"}
-        )
-
-    out = counts.groupby("lang").map_groups(topk, batch_format="pandas").to_pandas()
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-TFIDF_SQL = f"""
-WITH tok AS (
-  SELECT doc_id, lang, UNNEST(STRING_SPLIT(text, ' ')) AS token
-  FROM documents
-), ag AS (
-  SELECT lang, token, CAST(COUNT(*) AS BIGINT) AS n,
-         CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS df
-  FROM tok GROUP BY lang, token
-), nd AS (
-  SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs
-  FROM documents GROUP BY lang
-)
-SELECT lang, token, n, df, tfidf FROM (
-  SELECT ag.lang, token, n, df,
-         ROUND(n * LN((1.0 + n_docs) / (1.0 + df)), 6) AS tfidf,
-         ROW_NUMBER() OVER (
-           PARTITION BY ag.lang
-           ORDER BY ROUND(n * LN((1.0 + n_docs) / (1.0 + df)), 6) DESC,
-                    token) AS rk
-  FROM ag JOIN nd ON ag.lang = nd.lang
-) WHERE rk <= {TOP_TERMS_K}
-"""
-
-
-SHUFFLE_SEED = 42
-
-
-def deterministic_shuffle(sf_dir: str, seed: int = SHUFFLE_SEED) -> rd.Dataset:
-    """Reproducible corpus shuffle for training-data export: every doc
-    gets ``shuffle_rank = md5(f"{seed}:{doc_id}")`` and the dataset is
-    range-shuffled by that rank — a PURE FUNCTION of (seed, data), so
-    the order is bit-identical across runs, block layouts and cluster
-    sizes (unlike ``Dataset.random_shuffle``, whose seeded output
-    still depends on block boundaries). Changing the seed gives an
-    independent permutation; epoch shuffles are ``seed + epoch``.
-
-    Scale shape: the rank column is 32 bytes/row; the one range
-    shuffle (Dataset.sort) is exactly the exchange any global shuffle
-    pays, and downstream training shards read contiguous rank ranges.
-    Test-level oracle (driver surface capped at 50): DuckDB
-    ``ORDER BY md5(...)`` produces the same permutation
-    (tests/test_crawls_windows.py::test_deterministic_shuffle_matches_duckdb)."""
-
-    def rank(batch: pa.Table) -> pa.Table:
-        r = [hashlib.md5(f"{seed}:{d}".encode("ascii")).hexdigest()
-             for d in batch["doc_id"].to_pylist()]
-        return pa.table(
-            {"doc_id": batch["doc_id"], "lang": batch["lang"],
-             "shuffle_rank": pa.array(r, pa.string())}
-        )
-
-    return (
-        _docs(sf_dir, ["doc_id", "lang"])
-        .map_batches(rank, batch_format="pyarrow")
-        .sort("shuffle_rank")
-    )
-
-
-def shuffle_sql(seed: int = SHUFFLE_SEED) -> str:
-    return f"""
-SELECT doc_id, lang, md5('{seed}:' || CAST(doc_id AS VARCHAR)) AS shuffle_rank
-FROM documents ORDER BY shuffle_rank
-"""
-
-
 # ---------------------------------------------------------------------------
 # Repetition metrics (Gopher-style quality rules, Rae et al. 2021 §A1.1)
 # ---------------------------------------------------------------------------

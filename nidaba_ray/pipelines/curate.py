@@ -129,102 +129,6 @@ CURATION_STATS_SQL = CURATED_SQL.replace(
 ) + " GROUP BY lang"
 
 
-PCTL_DROP = 0.10  # drop the bottom decile per language
-
-
-def curated_by_percentile(sf_dir: str, p: float = PCTL_DROP) -> rd.Dataset:
-    """Data-derived quality gate: keep documents whose token count is
-    STRICTLY above their language's p-th discrete percentile — the
-    realistic curation step where thresholds come from the corpus
-    itself, not constants.
-
-    Scale shape — exact per-lang percentile WITHOUT sorting the
-    corpus: token counts are small integers, so a per-batch
-    (lang, n_tokens) COUNT histogram partial (the combiner) is the
-    whole shuffle; the merged histogram is (langs × distinct counts)
-    rows — driver-sized at any corpus scale — and the threshold per
-    lang falls out of a cumulative sum. The filter pass then reads
-    the table once more with the tiny threshold map captured by
-    closure. Two narrow passes, zero sorts, zero corpus-sized driver
-    state.
-
-    Threshold rule matches DuckDB ``quantile_disc`` exactly (sorted
-    0-indexed position ``ceil(p·n) − 1``; fuzz-pinned in the test).
-    Test-level oracle (driver surface capped at 50):
-    tests/test_crawls_windows.py::test_curated_by_percentile_matches_duckdb."""
-    import math
-
-    from ray.data.aggregate import Sum
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        n_tok = (df["text"].str.count(" ") + 1).astype("int64")
-        g = (
-            pd.DataFrame({"lang": df["lang"], "n_tokens": n_tok})
-            .groupby(["lang", "n_tokens"], as_index=False).size()
-            .rename(columns={"size": "n"})
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    hist = (
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["lang", "text"])
-        .map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["lang", "n_tokens"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # (langs × distinct token counts) — tiny
-    )
-    thresholds: dict[str, int] = {}
-    for lang, g in hist.groupby("lang"):
-        g = g.sort_values("n_tokens")
-        counts = g["n"].to_numpy()
-        total = int(counts.sum())
-        # quantile_disc rule, computed in IEEE DOUBLES on purpose:
-        # DuckDB evaluates ceil(p*n) in doubles too, so e.g.
-        # 0.1*100 = 10.000000000000002 → index 10 on BOTH sides.
-        # "Fixing" this to exact arithmetic (index 9) would break
-        # oracle parity today; if a DuckDB release moves to exact
-        # quantile indexing, the oracle test flags it and this math
-        # moves with it.
-        target = max(0, math.ceil(p * total) - 1)
-        cum = counts.cumsum()
-        idx = int((cum <= target).sum())  # first value whose cum > target
-        thresholds[lang] = int(g["n_tokens"].to_numpy()[idx])
-
-    def gate(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        n_tok = (df["text"].str.count(" ") + 1).astype("int64")
-        thr = df["lang"].map(thresholds).astype("int64")
-        keep = (n_tok > thr).to_numpy()
-        return pa.Table.from_pandas(
-            pd.DataFrame(
-                {"doc_id": df["doc_id"].astype("int64"),
-                 "lang": df["lang"].astype("string"),
-                 "n_tokens": n_tok}
-            )[keep],
-            preserve_index=False,
-        )
-
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"]
-    ).map_batches(gate, batch_format="pyarrow")
-
-
-CURATED_PCTL_SQL = f"""
-WITH t AS (
-  SELECT doc_id, lang,
-         CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens
-  FROM documents
-), thr AS (
-  SELECT lang, quantile_disc(n_tokens, {PCTL_DROP}) AS q
-  FROM t GROUP BY lang
-)
-SELECT doc_id, t.lang, n_tokens
-FROM t JOIN thr ON t.lang = thr.lang
-WHERE n_tokens > q
-"""
-
-
 # ---------------------------------------------------------------------------
 # Deterministic mixture sampling (training-data mixture construction)
 # ---------------------------------------------------------------------------
@@ -335,329 +239,6 @@ SELECT lang, doc_id FROM (
            ORDER BY ('0x' || substr(md5('strat:' || CAST(doc_id AS VARCHAR)), 1, 16))::UBIGINT,
                     doc_id) AS rn
   FROM documents) WHERE rn <= {k}
-"""
-
-
-# ---------------------------------------------------------------------------
-# Token-budget sampling (per-language training-token budgets)
-# ---------------------------------------------------------------------------
-
-# language → token budget for the mixture (the "sample until the
-# budget is spent" construction real training mixtures use when the
-# unit is tokens, not documents)
-BUDGET_TOKENS: dict[str, int] = {
-    "en": 40_000, "fr": 20_000, "es": 20_000, "de": 10_000, "zh": 5_000,
-}
-_BUDGET_BUCKET_BITS = 20  # 2^20 rank buckets for the histogram pass
-
-
-def _budget_key64(doc_ids) -> list[int]:
-    return [int.from_bytes(
-        hashlib.md5(f"budget:{d}".encode()).digest()[:8], "big")
-        for d in doc_ids]
-
-
-def budget_sample(sf_dir: str, budgets: dict[str, int] | None = None
-                  ) -> rd.Dataset:
-    """Per-language TOKEN-budget sampling: order each language's
-    documents by ``md5_64("budget:" + doc_id)`` (ties by doc_id) and
-    keep the maximal prefix whose inclusive token sum stays within the
-    language's budget — the deterministic "spend the token budget in
-    random order" mixture construction. The kept SET is a pure
-    function of (budgets, data): identical across parallelism levels,
-    block layouts and reruns. Languages without a budget contribute
-    nothing.
-
-    Scale shape — NO per-lang sort of the corpus. The rank key is
-    uniform, so its top ``_BUDGET_BUCKET_BITS`` bits bucket the order
-    statistic: pass 1 builds a (lang, bucket) token-sum histogram (a
-    partial-agg combiner shuffle, driver sees langs × 2^20 rows max,
-    in practice langs × occupied buckets); a driver-side cumulative
-    sum finds each language's BOUNDARY bucket; pass 2 reads only the
-    boundary buckets' rows (corpus/2^20 per lang) and resolves the
-    exact cutoff pair; pass 3 gates the table against the tiny
-    per-lang (boundary, cutoff) map. Exactly the
-    ``curated_by_percentile`` histogram idiom, applied to a weighted
-    (token-mass) order statistic. SQL-replayable (budget_sql) — the
-    replay is the window cumulative sum the distributed plan avoids."""
-    from ray.data.aggregate import Sum
-
-    budgets = BUDGET_TOKENS if budgets is None else budgets
-    shift = 64 - _BUDGET_BUCKET_BITS
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        keys = _budget_key64(df["doc_id"].tolist())
-        g = (
-            pd.DataFrame({
-                "lang": df["lang"],
-                "bucket": pd.array([k >> shift for k in keys],
-                                   dtype="int64"),
-                "tok": (df["text"].str.count(" ") + 1).astype("int64"),
-            })
-            .groupby(["lang", "bucket"], as_index=False)["tok"].sum()
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    hist = (
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "lang", "text"])
-        .map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["lang", "bucket"])
-        .aggregate(Sum("tok", alias_name="tok"))
-        .to_pandas()  # ≤ langs × occupied buckets — driver-sized
-    )
-    # per-lang boundary bucket: first bucket whose cumulative token
-    # mass exceeds the budget (None → the whole language fits)
-    boundary: dict[str, int] = {}
-    cum_before: dict[str, int] = {}
-    for lang, g in hist.groupby("lang"):
-        b = budgets.get(lang, 0)
-        if b <= 0:
-            boundary[lang] = -1  # nothing kept
-            cum_before[lang] = 0
-            continue
-        g = g.sort_values("bucket")
-        cum = g["tok"].cumsum().to_numpy()
-        over = cum > b
-        if over.any():
-            i = int(over.argmax())
-            boundary[lang] = int(g["bucket"].to_numpy()[i])
-            cum_before[lang] = int(cum[i - 1]) if i else 0
-        # else: entire language fits — no boundary entry
-
-    # pass 2: resolve the exact cutoff (key, doc_id) inside each
-    # boundary bucket (rows there are corpus/2^bits — tiny)
-    want = {(l, bb) for l, bb in boundary.items() if bb >= 0}
-
-    cutoff: dict[str, tuple[int, int]] = {}
-    if want:
-        def boundary_rows(batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            keys = _budget_key64(df["doc_id"].tolist())
-            mask = [
-                (l, k >> shift) in want
-                for l, k in zip(df["lang"], keys)
-            ]
-            import numpy as np
-
-            df = df.assign(
-                k64=pd.array(keys, dtype="UInt64"),
-                tok=(df["text"].str.count(" ") + 1).astype("int64"),
-            )[np.array(mask, dtype=bool)]
-            return pa.Table.from_pandas(
-                df[["doc_id", "lang", "k64", "tok"]], preserve_index=False)
-
-        rows = (
-            rd.read_parquet(f"{sf_dir}/documents.parquet",
-                            columns=["doc_id", "lang", "text"])
-            .map_batches(boundary_rows, batch_format="pyarrow")
-            .to_pandas()
-        )
-        for lang, g in rows.groupby("lang"):
-            g = g.sort_values(["k64", "doc_id"])
-            cum = cum_before[lang] + g["tok"].cumsum().to_numpy()
-            kept = cum <= budgets.get(lang, 0)
-            n_kept = int(kept.sum())
-            if n_kept:
-                last = g.iloc[n_kept - 1]
-                cutoff[lang] = (int(last["k64"]), int(last["doc_id"]))
-            # else: cutoff absent → only buckets BEFORE the boundary
-
-    def gate(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        df = batch.to_pandas()
-        keys = _budget_key64(df["doc_id"].tolist())
-        keep = []
-        for l, d, k in zip(df["lang"], df["doc_id"], keys):
-            if l not in budgets or budgets[l] <= 0:
-                keep.append(False)
-                continue
-            bb = boundary.get(l)
-            if bb is None:       # whole language fits
-                keep.append(True)
-                continue
-            bkt = k >> shift
-            if bkt < bb:
-                keep.append(True)
-            elif bkt > bb:
-                keep.append(False)
-            else:
-                co = cutoff.get(l)
-                keep.append(co is not None
-                            and (k, int(d)) <= co)
-        out = pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "lang": df["lang"].astype("string"),
-            "n_tokens": (df["text"].str.count(" ") + 1).astype("int64"),
-        })[np.array(keep, dtype=bool)]
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"]
-    ).map_batches(gate, batch_format="pyarrow")
-
-
-def budget_sql(budgets: dict[str, int] | None = None) -> str:
-    """The replay: a per-lang window cumulative sum in rank-key order
-    — exactly the corpus-sized sort the distributed plan's histogram
-    avoids."""
-    budgets = BUDGET_TOKENS if budgets is None else budgets
-    vals = ", ".join(f"('{l}', {b})" for l, b in sorted(budgets.items())
-                     if b > 0)
-    return f"""
-WITH t AS (
-  SELECT doc_id, lang,
-         CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens,
-         ('0x' || substr(md5('budget:' || CAST(doc_id AS VARCHAR)), 1, 16))::UBIGINT AS k64
-  FROM documents
-),
-b(lang, budget) AS (VALUES {vals}),
-c AS (
-  SELECT t.doc_id, t.lang, t.n_tokens, b.budget,
-         SUM(t.n_tokens) OVER (
-           PARTITION BY t.lang ORDER BY t.k64, t.doc_id
-           ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS cum
-  FROM t JOIN b ON t.lang = b.lang
-)
-SELECT doc_id, lang, n_tokens FROM c WHERE cum <= budget
-"""
-
-
-# ---------------------------------------------------------------------------
-# Source-reputation curation (site-level filtering, RefinedWeb-style)
-# ---------------------------------------------------------------------------
-
-# flag a source when its duplicate share exceeds NUM/DEN or its mean
-# token count falls below MIN_MEAN — integer-only decisions so the
-# DuckDB replay is exact (no float thresholds anywhere)
-SOURCE_DUP_NUM, SOURCE_DUP_DEN = 10, 100
-SOURCE_MIN_MEAN_TOKENS = 40
-
-
-def source_reputation(sf_dir: str) -> pa.Table:
-    """Per-SOURCE aggregate reputation: document count, distinct-text
-    count, token mass, and the integer-rule ``flagged`` verdict — the
-    site-level filtering signal (a host serving mostly duplicated or
-    ultra-short pages is curated out wholesale, not page by page).
-
-    Scale shape: a per-batch (source, fp) combiner (one row per
-    distinct text per batch) feeds ONE grouped aggregate whose key
-    cardinality is the distinct-text count, then a second combiner
-    collapses to sources — the driver sees n_sources rows. Decisions
-    are pure integer comparisons:
-    ``(n_docs − n_uniq)·DEN > n_docs·NUM`` and
-    ``sum_tokens < MIN_MEAN·n_docs`` — exactly replayable in SQL
-    (SOURCE_REPUTATION_SQL)."""
-    from ray.data.aggregate import Sum
-
-    def fp_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (
-            pd.DataFrame({
-                "source": df["source"],
-                "fp": [hashlib.md5(t.encode("utf-8")).hexdigest()
-                       for t in df["text"]],
-                "tok": (df["text"].str.count(" ") + 1).astype("int64"),
-            })
-            .groupby(["source", "fp"], as_index=False)
-            .agg(n=("tok", "size"), tok_sum=("tok", "sum"))
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    per_fp = (
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["source", "text"])
-        .map_batches(fp_partial, batch_format="pyarrow")
-        .groupby(["source", "fp"])
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("tok_sum", alias_name="tok_sum"))
-    )
-
-    def src_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("source", as_index=False).agg(
-            n_docs=("n", "sum"), n_uniq=("n", "size"),
-            sum_tokens=("tok_sum", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    per_src = (
-        per_fp.map_batches(src_partial, batch_format="pyarrow")
-        .repartition(1)  # ≤ n_sources rows per partial — coalesce
-        .groupby("source")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_uniq", alias_name="n_uniq"),
-                   Sum("sum_tokens", alias_name="sum_tokens"))
-        .to_pandas()  # n_sources rows
-        .sort_values("source").reset_index(drop=True)
-    )
-    dup = (per_src["n_docs"] - per_src["n_uniq"]) * SOURCE_DUP_DEN
-    flagged = (dup > per_src["n_docs"] * SOURCE_DUP_NUM) | (
-        per_src["sum_tokens"] < SOURCE_MIN_MEAN_TOKENS * per_src["n_docs"])
-    out = per_src.assign(flagged=flagged).astype(
-        {"source": "string", "n_docs": "int64", "n_uniq": "int64",
-         "sum_tokens": "int64", "flagged": "bool"})
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-SOURCE_REPUTATION_SQL = f"""
-WITH t AS (
-  SELECT source, md5(text) AS fp,
-         CAST(len(string_split(text, ' ')) AS BIGINT) AS tok
-  FROM documents
-),
-per AS (
-  SELECT source, CAST(COUNT(*) AS BIGINT) AS n_docs,
-         CAST(COUNT(DISTINCT fp) AS BIGINT) AS n_uniq,
-         CAST(SUM(tok) AS BIGINT) AS sum_tokens
-  FROM t GROUP BY source
-)
-SELECT source, n_docs, n_uniq, sum_tokens,
-       ((n_docs - n_uniq) * {SOURCE_DUP_DEN} > n_docs * {SOURCE_DUP_NUM}
-        OR sum_tokens < {SOURCE_MIN_MEAN_TOKENS} * n_docs) AS flagged
-FROM per ORDER BY source
-"""
-
-
-def curated_by_source(sf_dir: str) -> rd.Dataset:
-    """Apply the source verdicts to the documents table: drop every
-    document of a flagged source (the group-level gate — decide per
-    GROUP, filter per ROW). The verdict map is n_sources entries,
-    broadcast by closure; the filter pass is shuffle-free."""
-    rep = source_reputation(sf_dir).to_pandas()
-    bad = set(rep[rep["flagged"]]["source"])
-
-    def gate(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        keep = np.array(
-            [s not in bad for s in batch["source"].to_pylist()], bool)
-        return batch.filter(pa.array(keep))
-
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "lang"]
-    ).map_batches(gate, batch_format="pyarrow")
-
-
-CURATED_BY_SOURCE_SQL = f"""
-WITH t AS (
-  SELECT source, md5(text) AS fp,
-         CAST(len(string_split(text, ' ')) AS BIGINT) AS tok
-  FROM documents
-),
-per AS (
-  SELECT source, COUNT(*) AS n_docs, COUNT(DISTINCT fp) AS n_uniq,
-         SUM(tok) AS sum_tokens
-  FROM t GROUP BY source
-),
-bad AS (
-  SELECT source FROM per
-  WHERE (n_docs - n_uniq) * {SOURCE_DUP_DEN} > n_docs * {SOURCE_DUP_NUM}
-     OR sum_tokens < {SOURCE_MIN_MEAN_TOKENS} * n_docs
-)
-SELECT doc_id, source, lang FROM documents
-WHERE source NOT IN (SELECT source FROM bad)
 """
 
 

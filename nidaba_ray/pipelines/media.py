@@ -81,8 +81,8 @@ def media_features(sf_dir: str, trace_dir: str | None = None) -> pa.Table:
 # ORACLE-bearing driver entry: every field MediaProbe reads from a
 # synthetic container header is pure integer arithmetic in the
 # generating doc_id, so DuckDB can replay the whole rollup from the
-# documents table alone (the license_counts generator-replay idiom) —
-# unlike pixel/sample features, which stay pytest-pinned.
+# documents table alone (the generator-replay idiom) — unlike
+# pixel/sample features, which stay pytest-pinned.
 # ---------------------------------------------------------------------------
 
 

@@ -430,77 +430,6 @@ ASOF JOIN (SELECT * FROM events WHERE event_type = 'click') c
 """
 
 
-RANGE_JOIN_WINDOW_SEC = 3600
-
-
-def range_join_clicks_before_purchase(sf_dir: str) -> rd.Dataset:
-    """Bounded-interval (range) join: for each purchase, ALL of the
-    same user's clicks in the preceding hour — ``click_ts ∈
-    [purchase_ts − 1h, purchase_ts)``. The non-equi-join family member
-    the as-of join (latest-only) doesn't cover; output is one row per
-    qualifying (purchase, click) pair.
-
-    Scale shape: identical to the as-of join — ONE range shuffle on
-    the user key, then per sorted partition an equi-join on user_id
-    (C-level hash join across all users in the partition at once)
-    pruned by the window predicate. The equi-join intermediate is
-    per-user |purchases|×|clicks| BEFORE pruning; a hot user with an
-    unbounded history is the skew risk, and the standard mitigation
-    is bucketing ts into window-sized ranges and joining each purchase
-    bucket to its own + previous click bucket (boundary carry), which
-    keeps the intermediate at O(pairs within 2 buckets). Not needed at
-    test scale; documented so the assumption is explicit.
-
-    Deterministic: output is the full qualifying pair set (no
-    tie-break needed) ordered by (purchase_id, click_id) downstream.
-    Test-level DuckDB oracle (driver surface capped at 50):
-    tests/test_crawls_windows.py::test_range_join_matches_duckdb."""
-
-    def range_part(g: pd.DataFrame) -> pd.DataFrame:
-        p = g[g["event_type"] == "purchase"]
-        c = g[g["event_type"] == "click"]
-        if p.empty or c.empty:
-            return _ASOF_EMPTY
-        p = p[["event_id", "user_id", "ts"]]
-        c = c[["event_id", "user_id", "ts"]].rename(
-            columns={"event_id": "click_id", "ts": "click_ts"}
-        )
-        m = p.merge(c, on="user_id", how="inner")
-        lo = m["ts"] - pd.Timedelta(seconds=RANGE_JOIN_WINDOW_SEC)
-        m = m[(m["click_ts"] >= lo) & (m["click_ts"] < m["ts"])]
-        if m.empty:
-            return _ASOF_EMPTY
-        return pd.DataFrame(
-            {"purchase_id": m["event_id"].astype("int64"),
-             "user_id": m["user_id"].astype("int64"),
-             "purchase_ts": m["ts"].astype("datetime64[us]"),
-             "click_id": m["click_id"].astype("int64"),
-             "click_ts": m["click_ts"].astype("datetime64[us]")}
-        )
-
-    filtered = _events(
-        sf_dir, ["event_id", "user_id", "ts", "event_type"]
-    ).map_batches(
-        lambda t: t.filter(
-            pa.compute.is_in(t["event_type"], value_set=pa.array(["purchase", "click"]))
-        ),
-        batch_format="pyarrow",
-    )
-    return sorted_partition_apply(filtered, ["user_id"], range_part,
-                                  _ASOF_EMPTY)
-
-
-RANGE_JOIN_SQL = f"""
-SELECT p.event_id AS purchase_id, p.user_id, p.ts AS purchase_ts,
-       c.event_id AS click_id, c.ts AS click_ts
-FROM (SELECT * FROM events WHERE event_type = 'purchase') p
-JOIN (SELECT * FROM events WHERE event_type = 'click') c
-  ON p.user_id = c.user_id
- AND c.ts >= p.ts - INTERVAL {RANGE_JOIN_WINDOW_SEC} SECOND
- AND c.ts < p.ts
-"""
-
-
 def event_value_quantiles(sf_dir: str) -> rd.Dataset:
     """Per-type value quantiles (p50/p90) — grouped order statistics.
 
@@ -512,10 +441,7 @@ def event_value_quantiles(sf_dir: str) -> rd.Dataset:
     binary blob (same bytes a sort would move, but as ≤ n_types rows
     per batch), the partials coalesce to one block, and one merge task
     concatenates + sorts per type. Exact grouped quantiles inherently
-    gather each group's values on one reducer whatever the plumbing —
-    at scale use ``event_value_quantiles_sketch`` (mergeable
-    summaries, shuffle carries KBs); this exact variant stays the
-    oracle-checked reference."""
+    gather each group's values on one reducer whatever the plumbing."""
 
     def pack(batch: pa.Table) -> pa.Table:
         df = batch.select(["event_type", "value"]).to_pandas()
@@ -554,93 +480,3 @@ SELECT event_type,
        COUNT(*) AS n
 FROM events GROUP BY event_type
 """
-
-
-# ---------------------------------------------------------------------------
-# Mergeable quantile sketch (the 100 TB path for grouped quantiles)
-# ---------------------------------------------------------------------------
-
-SKETCH_M = 256  # order statistics kept per (batch, group) summary
-
-
-def quantile_summary(v: np.ndarray, m: int = SKETCH_M) -> tuple[np.ndarray, float]:
-    """Equi-depth summary of one batch's values: ``m`` equally-spaced
-    order statistics, each representing ``n/m`` original rows. Rank
-    error of any quantile estimated from merged summaries is bounded
-    by 1/m per contributing summary level (classic mergeable
-    equi-depth / GK-style bound; unit-tested in
-    tests/test_crawls_windows.py)."""
-    v = np.sort(np.asarray(v, dtype=np.float64))
-    n = len(v)
-    if n <= m:
-        return v, 1.0
-    idx = ((np.arange(m) + 0.5) * n / m).astype(np.int64)
-    return v[idx], n / m
-
-
-def merged_quantile(vals: np.ndarray, wts: np.ndarray, p: float) -> float:
-    """Weighted linear-interpolation quantile over concatenated
-    summaries — deterministic regardless of merge order (stable
-    lexsort on (value, weight))."""
-    order = np.lexsort((wts, vals))
-    vals, wts = vals[order], wts[order]
-    cw = np.cumsum(wts) - wts / 2.0
-    return float(np.interp(p * wts.sum(), cw, vals))
-
-
-def event_value_quantiles_sketch(sf_dir: str) -> pa.Table:
-    """`event_value_quantiles` via mergeable per-batch sketches instead
-    of an exact per-group sort — the scale path (docs/NEXT.md item 4).
-
-    Shape: each batch emits one ``m``-point equi-depth summary per
-    event type (a few KB regardless of batch size), the groupby
-    shuffles summaries only, and the merge interpolates the weighted
-    order statistics. The exact variant stays the oracle-checked
-    default; this one is rows-checked with an error-bound unit test
-    (estimates must bracket the exact rank ±2/m)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(["event_type", "value"]).to_pandas()
-        ts, qs, ws, ns = [], [], [], []
-        for t, g in df.groupby("event_type", sort=True):
-            s, w = quantile_summary(g["value"].to_numpy())
-            ts.append(t)
-            qs.append(s.tolist())
-            ws.append(w)
-            ns.append(len(g))
-        return pa.table(
-            {
-                "event_type": pa.array(ts, pa.string()),
-                "qs": pa.array(qs, pa.list_(pa.float64())),
-                "w": pa.array(ws, pa.float64()),
-                "n": pa.array(ns, pa.int64()),
-            }
-        )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        vals = np.concatenate([np.asarray(x, dtype=np.float64) for x in g["qs"]])
-        wts = np.concatenate(
-            [np.full(len(x), w, dtype=np.float64)
-             for x, w in zip(g["qs"], g["w"])]
-        )
-        return pd.DataFrame(
-            {
-                "event_type": [g["event_type"].iloc[0]],
-                "p50": [round_like_sql(merged_quantile(vals, wts, 0.5), 4)],
-                "p90": [round_like_sql(merged_quantile(vals, wts, 0.9), 4)],
-                "n": [int(g["n"].sum())],
-            }
-        ).astype({"event_type": "string", "p50": "float64",
-                  "p90": "float64", "n": "int64"})
-
-    out = (
-        _events(sf_dir, ["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .repartition(1)  # summaries are KBs — see hll_distinct_users
-        .groupby("event_type")
-        .map_groups(merge, batch_format="pandas")  # ~n_types tiny groups
-        .to_pandas()
-        .sort_values("event_type")
-        .reset_index(drop=True)
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)

@@ -24,7 +24,7 @@ _RECLAIMS: list[tuple[str, str, str]] = []
 def pytest_configure(config):
     # dev lane: ``pytest -m "not slow"``; the full run still runs these
     config.addinivalue_line(
-        "markers", "slow: seen-index spill and codec-fuzz families")
+        "markers", "slow: codec-fuzz family")
 
 
 def _start_ray():

@@ -1,7 +1,7 @@
 """bench.py driver contract: prints exactly ONE JSON line with the
 required keys, honors GRAFT_SF_DIR / RAY_GRAFT_CPUS / GRAFT_AMPLIFY.
 Runs at tiny scale in a fresh process (bench owns its own Ray
-session, per the contract)."""
+session, per the contract). Its timed names all resolve."""
 
 import json
 import os
@@ -30,3 +30,20 @@ def test_bench_json_contract():
             "rows", "docs_per_sec"} <= set(d)
     assert d["unit"] == "sec" and d["num_cpus"] == 4
     assert d["rows"] == 500 and d["value"] > 0
+
+
+def test_timed_queries_resolve_without_ray():
+    """Every TIMED_QUERIES name resolves to a callable through
+    queries() or _extra_timed(), and _extra_timed() times nothing
+    outside TIMED_QUERIES, so no removed operator can leave a dangling
+    bench key."""
+    import __ray_entry__
+    import bench
+
+    extra = bench._extra_timed()
+    resolved = {**__ray_entry__.queries(), **extra}
+    assert len(set(bench.TIMED_QUERIES)) == len(bench.TIMED_QUERIES)
+    missing = [n for n in bench.TIMED_QUERIES if not callable(resolved.get(n))]
+    assert not missing, missing
+    assert set(extra) <= set(bench.TIMED_QUERIES), sorted(
+        set(extra) - set(bench.TIMED_QUERIES))

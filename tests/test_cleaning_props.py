@@ -1,98 +1,9 @@
-"""Seeded randomized property tests for the round-4 cleaning family:
-duplicate-span removal vs a brute-force reference, scorer-vs-reference
-perplexity parity on random unicode, and JSON-LD scanner totality."""
+"""Seeded randomized property test for the cleaning family: the JSON-LD
+scanner is total on garbage input."""
 
 import random
 
-import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
-import ray
-
-from nidaba_ray.functions import lm
-from nidaba_ray.functions.dedup import _token_ngram_fps, remove_duplicate_spans
 from nidaba_ray.stages.metadata import extract_jsonld_objects
-
-
-def _brute_span_removal(texts: dict[int, str], n: int) -> dict[int, tuple]:
-    """Independent reference: per-doc distinct n-gram doc frequencies,
-    cover-mask removal, drop-empty."""
-    from collections import Counter
-
-    df: Counter = Counter()
-    for t in texts.values():
-        toks = t.split(" ")
-        grams = {" ".join(toks[i:i + n]) for i in range(len(toks) - n + 1)}
-        df.update(grams)
-    frequent = {g for g, c in df.items() if c > 1}
-    out = {}
-    for did, t in texts.items():
-        toks = t.split(" ")
-        covered = [False] * len(toks)
-        for i in range(len(toks) - n + 1):
-            if " ".join(toks[i:i + n]) in frequent:
-                for j in range(i, i + n):
-                    covered[j] = True
-        kept = [tok for tok, c in zip(toks, covered) if not c]
-        if kept:
-            out[did] = (" ".join(kept), len(toks) - len(kept))
-    return out
-
-
-def test_span_removal_matches_bruteforce_random(ray_session, tmp_path):
-    rng = random.Random(42)
-    vocab = [f"w{i}" for i in range(12)]
-    for trial, n in [(0, 3), (1, 5)]:
-        texts = {}
-        shared = " ".join(rng.choices(vocab, k=n + 2))
-        for did in range(10):
-            body = " ".join(rng.choices(vocab, k=rng.randint(1, 30)))
-            if did % 3 == 0:
-                body = f"{body} {shared}"
-            texts[did] = body
-        d = tmp_path / f"prop{trial}"
-        d.mkdir()
-        pq.write_table(pa.table({
-            "doc_id": pa.array(sorted(texts), pa.int64()),
-            "text": pa.array([texts[k] for k in sorted(texts)], pa.string()),
-        }), d / "documents.parquet")
-        got = (remove_duplicate_spans(str(d), n=n).to_pandas()
-               .sort_values("doc_id").reset_index(drop=True))
-        want = _brute_span_removal(texts, n)
-        assert list(got["doc_id"]) == sorted(want)
-        for _, r in got.iterrows():
-            assert (r["text"], r["n_removed"]) == want[r["doc_id"]], r["doc_id"]
-
-
-def test_scorer_reference_parity_random_unicode(ray_session):
-    models = lm.train_charlm("/root/testdata/sf0.001")
-    scorer = lm.CharLMScorer(ray.put(models))
-    rng = random.Random(7)
-    pool = "abcdefgh zæ漢字🙂\u00e9\u0301"  # ascii + combining + astral
-    texts = ["".join(rng.choices(pool, k=rng.randint(0, 40)))
-             for _ in range(60)]
-    batch = pa.table({
-        "doc_id": pa.array(range(len(texts)), pa.int64()),
-        "lang": pa.array(["en"] * len(texts), pa.string()),
-        "text": pa.array(texts, pa.string()),
-    })
-    out = scorer(batch).to_pandas()
-    from nidaba_ray.functions.compat import round_like_sql
-    for i, t in enumerate(texts):
-        ref = round_like_sql(lm.perplexity_reference(t, models["en"]), 4)
-        assert out.loc[i, "ppl"] == ref, (i, repr(t))
-
-
-def test_ngram_fps_positional_contract():
-    toks = "a b c d e".split(" ")
-    fps = _token_ngram_fps(toks, 3)
-    assert len(fps) == 3
-    # position i fingerprints tokens i..i+2 — recompute independently
-    import hashlib
-    want = [int.from_bytes(hashlib.md5(" ".join(toks[i:i + 3]).encode())
-                           .digest()[:8], "big") for i in range(3)]
-    assert fps.tolist() == want
-    assert _token_ngram_fps(["x"], 3).size == 0
 
 
 def test_jsonld_scanner_total_on_garbage():

@@ -328,54 +328,6 @@ def test_dup_clusters_exact_oracle_premise(ray_session):
     assert (mine["cluster_id"].to_numpy() == ora["cluster_id"].to_numpy()).all()
 
 
-def test_quantile_sketch_error_bound(ray_session):
-    """Sketch estimates must land within the ±2/m rank bracket of the
-    exact distribution, per event type, at every checked quantile."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from nidaba_ray.relational.windows import (
-        SKETCH_M,
-        event_value_quantiles,
-        event_value_quantiles_sketch,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    sk = event_value_quantiles_sketch(sf).to_pandas().set_index("event_type")
-    ex = event_value_quantiles(sf).to_pandas().set_index("event_type")
-    assert (sk["n"].sort_index() == ex["n"].sort_index()).all()
-    raw = pq.read_table(f"{sf}/events.parquet",
-                        columns=["event_type", "value"]).to_pandas()
-    eps = 2.0 / SKETCH_M
-    for t, g in raw.groupby("event_type"):
-        v = np.sort(g["value"].to_numpy(np.float64))
-        for p, col in ((0.5, "p50"), (0.9, "p90")):
-            lo = np.percentile(v, max(0.0, (p - eps)) * 100)
-            hi = np.percentile(v, min(1.0, (p + eps)) * 100)
-            assert lo - 1e-9 <= sk.loc[t, col] <= hi + 1e-9, (t, col)
-
-
-def test_quantile_sketch_deterministic_merge():
-    import numpy as np
-
-    from nidaba_ray.relational.windows import merged_quantile, quantile_summary
-
-    rng = np.random.default_rng(5)
-    data = rng.lognormal(size=10_000)
-    chunks = np.array_split(data, 13)
-    summaries = [quantile_summary(c) for c in chunks]
-    vals = np.concatenate([s for s, _ in summaries])
-    wts = np.concatenate([np.full(len(s), w) for s, w in summaries])
-    a = merged_quantile(vals, wts, 0.9)
-    # reversed merge order → identical estimate (determinism)
-    vals_r = np.concatenate([s for s, _ in reversed(summaries)])
-    wts_r = np.concatenate([np.full(len(s), w) for s, w in reversed(summaries)])
-    assert a == merged_quantile(vals_r, wts_r, 0.9)
-    exact = np.percentile(data, 90)
-    lo, hi = np.percentile(data, 100 * (0.9 - 2 / 256)), np.percentile(data, 100 * (0.9 + 2 / 256))
-    assert lo <= a <= hi and abs(a - exact) < 0.2
-
-
 def test_ann_ivf_recall(ray_session):
     """IVF top-k must recover most of the exact top-k (multi-probe),
     and be deterministic across runs."""
@@ -557,157 +509,6 @@ def test_ann_topk_multi_matches_duckdb(ray_session):
         mine.astype({"query_id": "int64", "vec_id": "int64"}),
         want.astype({"query_id": "int64", "vec_id": "int64"}),
     )
-
-
-def test_range_join_matches_duckdb(ray_session):
-    """Bounded-interval join (clicks within the hour before each
-    purchase) equals the DuckDB non-equi join exactly — a test-level
-    oracle (the driver surface is capped at 50 entries)."""
-    import duckdb
-    import pandas as pd
-
-    from nidaba_ray.relational.windows import (
-        RANGE_JOIN_SQL,
-        range_join_clicks_before_purchase,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    mine = (
-        range_join_clicks_before_purchase(sf)
-        .to_pandas()
-        .sort_values(["purchase_id", "click_id"])
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{sf}/events.parquet')"
-    )
-    want = (
-        con.execute(RANGE_JOIN_SQL).fetchdf()
-        .sort_values(["purchase_id", "click_id"])
-        .reset_index(drop=True)
-    )
-    for col in ("purchase_ts", "click_ts"):
-        want[col] = want[col].astype("datetime64[us]")
-        mine[col] = mine[col].astype("datetime64[us]")
-    assert len(mine) == len(want) > 0
-    pd.testing.assert_frame_equal(mine, want)
-    # every range pair's purchase also appears in the as-of output's
-    # universe only if it has a strictly-prior click — sanity overlap
-    assert (mine["click_ts"] < mine["purchase_ts"]).all()
-
-
-def test_tfidf_matches_duckdb(ray_session):
-    """Per-language aggregate TF-IDF top-k equals the DuckDB oracle —
-    a test-level oracle (driver surface capped at 50). Quantize-then-
-    rank on both sides makes the k-boundary a shared total order."""
-    import duckdb
-    import pandas as pd
-
-    from nidaba_ray.functions.textops import TFIDF_SQL, tfidf_top_terms
-
-    sf = "/root/testdata/sf0.001"
-    mine = (
-        tfidf_top_terms(sf).to_pandas()
-        .sort_values(["lang", "tfidf", "token"],
-                     ascending=[True, False, True])
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')"
-    )
-    want = (
-        con.execute(TFIDF_SQL).fetchdf()
-        .sort_values(["lang", "tfidf", "token"],
-                     ascending=[True, False, True])
-        .reset_index(drop=True)
-    )
-    assert len(mine) == len(want) > 0
-    pd.testing.assert_frame_equal(
-        mine.astype({"lang": "string", "token": "string"}),
-        want.astype({"lang": "string", "token": "string",
-                     "n": "int64", "df": "int64"}),
-    )
-    # IDF damping must actually change the ranking vs raw counts for
-    # at least one language (otherwise the op is top_terms in disguise)
-    from nidaba_ray.functions.textops import top_terms_per_lang
-
-    raw = top_terms_per_lang(sf).to_pandas()
-    pairs_raw = set(zip(raw["lang"], raw["token"]))
-    pairs_tfidf = set(zip(mine["lang"], mine["token"]))
-    assert pairs_raw != pairs_tfidf
-
-
-def test_curated_by_percentile_matches_duckdb(ray_session):
-    """Per-lang bottom-decile gate (data-derived threshold) equals the
-    DuckDB quantile_disc oracle — test-level oracle (surface capped at
-    50). The histogram cumsum threshold must replicate quantile_disc's
-    ceil(p*n)-1 rule exactly."""
-    import duckdb
-    import pandas as pd
-
-    from nidaba_ray.pipelines.curate import (
-        CURATED_PCTL_SQL,
-        curated_by_percentile,
-    )
-
-    sf = "/root/testdata/sf0.01"
-    mine = (
-        curated_by_percentile(sf).to_pandas()
-        .sort_values("doc_id").reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')"
-    )
-    want = (
-        con.execute(CURATED_PCTL_SQL).fetchdf()
-        .sort_values("doc_id").reset_index(drop=True)
-    )
-    assert 0 < len(mine) < 500  # gate actually drops something
-    pd.testing.assert_frame_equal(
-        mine.astype({"lang": "string"}),
-        want.astype({"lang": "string", "n_tokens": "int64"}),
-    )
-
-
-def test_deterministic_shuffle_matches_duckdb(ray_session):
-    """Seeded corpus shuffle is a pure function of (seed, data): the
-    full ORDERED permutation equals DuckDB's md5 ordering, and stays
-    identical under a different block layout."""
-    import duckdb
-    import pandas as pd
-    import ray.data as rd
-
-    from nidaba_ray.functions.textops import (
-        deterministic_shuffle,
-        shuffle_sql,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    mine = deterministic_shuffle(sf).to_pandas().reset_index(drop=True)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')"
-    )
-    want = con.execute(shuffle_sql()).fetchdf().reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        mine.astype({"lang": "string", "shuffle_rank": "string"}),
-        want.astype({"lang": "string", "shuffle_rank": "string"}),
-    )
-    # layout invariance of the ORDER itself
-    ctx = rd.DataContext.get_current()
-    old = ctx.target_max_block_size
-    try:
-        ctx.target_max_block_size = 16 * 1024
-        alt = deterministic_shuffle(sf).to_pandas().reset_index(drop=True)
-    finally:
-        ctx.target_max_block_size = old
-    assert list(alt["doc_id"]) == list(mine["doc_id"])
-    # different seeds give different permutations
-    other = deterministic_shuffle(sf, seed=43).to_pandas()
-    assert list(other["doc_id"]) != list(mine["doc_id"])
 
 
 def test_prefix_join_hot_shingle_demotion(ray_session, tmp_path):

@@ -15,7 +15,6 @@ from nidaba_ray.functions.langseg import (
     LangSegments,
     LangSegSummary,
     _summarize,
-    lang_seg_summary_sql,
     lang_segment_batch,
     lang_segments_sql,
     split_paragraphs,
@@ -91,30 +90,85 @@ def test_segments_duckdb_parity_crafted():
     pd.testing.assert_frame_equal(got, want)
 
 
+# DuckDB rollup of the replayed segment table: majority by character
+# mass with the lang-asc tie-break, switches via LAG over paragraph
+# order, zero-segment docs joined back as ('und', 0)
+_SUMMARY_SQL = """
+WITH per AS ({segments}),
+mass AS (
+  SELECT doc_id, pred_lang, SUM(n_chars) AS ch
+  FROM per GROUP BY doc_id, pred_lang
+),
+maj AS (
+  SELECT doc_id, pred_lang AS majority_lang,
+         ROW_NUMBER() OVER (PARTITION BY doc_id
+                            ORDER BY ch DESC, pred_lang ASC) AS rn
+  FROM mass
+),
+sw AS (
+  SELECT doc_id,
+         COUNT(*) FILTER (WHERE prev IS NOT NULL
+                          AND pred_lang <> prev) AS n_switches,
+         COUNT(*) AS n_segments,
+         COUNT(DISTINCT pred_lang) AS n_langs
+  FROM (SELECT doc_id, pred_lang,
+               LAG(pred_lang) OVER (PARTITION BY doc_id
+                                    ORDER BY para_idx) AS prev
+        FROM per)
+  GROUP BY doc_id
+)
+SELECT d.doc_id,
+       COALESCE(sw.n_segments, 0) AS n_segments,
+       COALESCE(m.majority_lang, 'und') AS majority_lang,
+       COALESCE(sw.n_langs, 0) AS n_langs,
+       COALESCE(sw.n_switches, 0) AS n_switches,
+       COALESCE(sw.n_langs, 0) > 1 AS is_mixed
+FROM documents d
+LEFT JOIN maj m ON m.doc_id = d.doc_id AND m.rn = 1
+LEFT JOIN sw ON sw.doc_id = d.doc_id
+ORDER BY d.doc_id
+"""
+
+
 def test_summary_duckdb_parity_crafted():
+    """(doc_id, n_segments, majority_lang, n_langs, n_switches,
+    is_mixed) per crafted doc equals a DuckDB rollup of the replayed
+    segment table, and the eight rows are pinned. Doc 7's zh paragraph
+    outweighs two en paragraphs: the majority is by char mass, not
+    segment count."""
     docs = _crafted_corpus()
     got = LangSegSummary()(docs).to_pandas()
     con = duckdb.connect()
     con.register("documents", docs)
-    want = con.execute(lang_seg_summary_sql()).df()
+    want = con.execute(_SUMMARY_SQL.format(
+        segments=lang_segments_sql())).df()
     got = got.sort_values("doc_id").reset_index(drop=True)
     want = want.reset_index(drop=True).astype(got.dtypes.to_dict())
     pd.testing.assert_frame_equal(got, want)
-    # the char-mass majority pin: doc 7's zh paragraph outweighs two
-    # en paragraphs
-    row7 = got[got.doc_id == 7].iloc[0]
-    assert row7.majority_lang == "zh" and bool(row7.is_mixed)
+    assert [tuple(r) for r in got.itertuples(index=False)] == [
+        (0, 3, "en", 2, 2, True),
+        (1, 1, "es", 1, 0, False),
+        (2, 0, "und", 0, 0, False),
+        (3, 0, "und", 0, 0, False),
+        (4, 3, "fr", 3, 2, True),
+        (5, 6, "de", 2, 3, True),
+        (6, 1, "de", 1, 0, False),
+        (7, 3, "zh", 3, 2, True),
+    ]
 
 
 def test_degenerate_matches_lang_id(ray_session):
     """On a newline-free corpus every doc is one segment, so the
     summary's majority_lang must equal the whole-doc ``lang_id``
     verdict exactly."""
-    from nidaba_ray.functions.langseg import lang_seg_summary
+    import pyarrow.parquet as pq
+
     from nidaba_ray.functions.textops import lang_id
 
+    docs = pq.read_table(f"{SF}/documents.parquet",
+                         columns=["doc_id", "text"])
     summ = (
-        lang_seg_summary(SF).to_pandas()
+        LangSegSummary()(docs).to_pandas()
         .sort_values("doc_id").reset_index(drop=True)
     )
     li = (

@@ -1,6 +1,7 @@
 """CC license detection: kernel pins, DuckDB byte parity of the shared
 pattern + replacement list, the curation gate, the registry stages,
-and the corpus rollup against its generator-replay oracle."""
+and detection over generated license pages against the generator's
+assignment."""
 from __future__ import annotations
 
 import random
@@ -12,17 +13,30 @@ import pytest
 
 from nidaba_ray.functions.license import (
     CC_LICENSE_PATTERN,
-    LICENSE_URL_GRID,
     PERMISSIVE_LICENSES,
     annotate_license_batch,
     detect_license,
-    license_counts,
-    license_counts_sql,
     license_expr_sql,
     license_filter_batch,
 )
 
 SF_DIR = "/root/testdata/sf0.001"
+
+# doc_id % 9 -> the page's declared license (slug, URL; '' = none). The
+# URL forms vary scheme, host case, path case and trailing segments so
+# the detector's (?i) + leftmost-match contract is exercised by the
+# page corpus itself, not just by unit pins.
+LICENSE_URL_GRID: tuple[tuple[str, str], ...] = (
+    ("", ""),
+    ("cc-by-4.0", "https://CreativeCommons.org/licenses/by/4.0/"),
+    ("cc-by-sa-3.0", "http://creativecommons.org/licenses/by-sa/3.0/deed.en"),
+    ("", ""),
+    ("cc0-1.0", "https://creativecommons.org/publicdomain/zero/1.0/"),
+    ("cc-by-nc-4.0", "https://creativecommons.org/LICENSES/BY-NC/4.0/"),
+    ("publicdomain", "//creativecommons.org/publicdomain/mark/1.0/"),
+    ("cc-by-nc-nd-2.5", "https://creativecommons.org/licenses/by-nc-nd/2.5/"),
+    ("", ""),
+)
 
 
 def test_detect_license_pins():
@@ -132,16 +146,45 @@ def test_license_registry_stages(ray_session, tmp_path):
 
 
 def test_license_counts_generator_oracle(ray_session):
-    """End-to-end: the Ray side scans real page bytes for URLs; the
-    oracle replays only the generator's doc_id%9 assignment."""
-    got = license_counts(SF_DIR).to_pandas()
+    """End-to-end: Ray builds one page per document whose footer
+    declares the grid license for ``doc_id % 9`` and scans the page
+    bytes with ``detect_license``; the oracle replays only the
+    generator's doc_id%9 assignment in SQL, never the scanner."""
+    import ray.data as rd
+
+    def detect(batch: pa.Table) -> pa.Table:
+        html = []
+        for doc_id, text in zip(batch["doc_id"].to_pylist(),
+                                batch["text"].to_pylist()):
+            _, url = LICENSE_URL_GRID[doc_id % 9]
+            footer = (
+                f'<footer><a rel="license" href="{url}">license</a></footer>'
+                if url else "<footer>all rights reserved</footer>"
+            )
+            html.append(
+                f"<html><body><p>{text}</p>{footer}</body></html>".encode())
+        return pa.table({"license": detect_license(pa.array(html, pa.binary()))})
+
+    got = (
+        rd.read_parquet(f"{SF_DIR}/documents.parquet",
+                        columns=["doc_id", "text"])
+        .map_batches(detect, batch_format="pyarrow")
+        .to_pandas()
+        .groupby("license", as_index=False).size()
+        .sort_values("license")
+    )
+    cases = " ".join(f"WHEN {i} THEN '{slug}'"
+                     for i, (slug, _) in enumerate(LICENSE_URL_GRID) if slug)
     con = duckdb.connect()
     con.execute(
         "CREATE VIEW documents AS SELECT * FROM "
         f"read_parquet('{SF_DIR}/documents.parquet')")
-    want = con.execute(license_counts_sql()).fetchdf()
+    want = con.execute(
+        f"SELECT CASE doc_id % 9 {cases} ELSE '' END AS license, "
+        "COUNT(*) AS n_docs FROM documents GROUP BY 1 ORDER BY license"
+    ).fetchdf()
     assert got["license"].tolist() == want["license"].tolist()
-    assert got["n_docs"].tolist() == want["n_docs"].tolist()
+    assert got["size"].tolist() == want["n_docs"].tolist()
     # the grid really exercises multiple slugs at this scale
     assert len(got) >= 6
 

@@ -1,8 +1,6 @@
-"""Link-graph harvest + host PageRank (functions/linkgraph.py,
-functions/pagerank.py round 5): byte-parity DuckDB replays (links,
-host graph, and the UNROLLED integer PageRank iteration), fixture-
-corpus coverage, layout invariance, and the composed pages→rank
-pipeline."""
+"""Link harvest (functions/linkgraph.py): byte-parity DuckDB replays
+of the links table, fixture-corpus coverage, the distributed
+harvest, and the crawl-frontier example spec."""
 
 from __future__ import annotations
 
@@ -13,16 +11,8 @@ import pytest
 
 from nidaba_ray.functions.linkgraph import (
     harvest_links_batch,
-    host_graph,
-    host_graph_sql,
     page_links,
     page_links_sql,
-)
-from nidaba_ray.functions.pagerank import (
-    SCALE,
-    pagerank_hosts,
-    pagerank_pages,
-    pagerank_sql,
 )
 
 SF = "/root/testdata/sf0.001"
@@ -94,80 +84,6 @@ def test_links_duckdb_parity_fixture_corpus():
     con.register("pages", pages)
     want = con.execute(page_links_sql()).df().reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-
-
-def test_host_graph_parity(ray_session):
-    import ray.data as rd
-
-    pages = _crafted_pages()
-    got = (host_graph(rd.from_arrow(pages)).to_pandas()
-           .sort_values(["src_host", "dst_host"]).reset_index(drop=True))
-    con = duckdb.connect()
-    con.register("pages", pages)
-    want = con.execute(host_graph_sql()).df().reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-
-
-def test_pagerank_parity_and_invariance(ray_session):
-    import ray.data as rd
-
-    edges = pa.table({
-        "src_host": pa.array(["a", "a", "b", "c", "c", "d"], pa.string()),
-        "dst_host": pa.array(["b", "c", "c", "a", "e", "e"], pa.string()),
-        "n_links": pa.array([3, 1, 2, 5, 1, 4], pa.int64()),
-    })
-    got = pagerank_hosts(rd.from_arrow(edges)).to_pandas()
-    con = duckdb.connect()
-    con.register("edges", edges)
-    want = con.execute(pagerank_sql()).df()
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-    # bit-identical across block layouts (integer arithmetic only)
-    got2 = pagerank_hosts(rd.from_arrow(edges).repartition(5)).to_pandas()
-    assert got.equals(got2)
-    # structure sanity: e collects c's and d's mass plus dangling
-    ranks = got.set_index("host")["rank"]
-    assert ranks["e"] > ranks["d"]
-    # total mass ≈ SCALE (floor divisions only ever drop micro-units)
-    assert 0.95 * SCALE < ranks.sum() <= SCALE
-
-
-def test_pagerank_reference_convergence(ray_session):
-    """The integer iteration tracks a float reference within the
-    quantization error: same graph, same damping, 5 iterations."""
-    import numpy as np
-    import ray.data as rd
-
-    edges = pa.table({
-        "src_host": pa.array(["a", "b", "c", "d", "d"], pa.string()),
-        "dst_host": pa.array(["b", "c", "a", "a", "b"], pa.string()),
-        "n_links": pa.array([1, 1, 1, 2, 1], pa.int64()),
-    })
-    got = pagerank_hosts(rd.from_arrow(edges)).to_pandas()
-    nodes = sorted(got["host"])
-    idx = {h: i for i, h in enumerate(nodes)}
-    r = np.full(len(nodes), 1.0 / len(nodes))
-    outw = {"a": 1, "b": 1, "c": 1, "d": 3}
-    for _ in range(5):
-        new = np.full(len(nodes), 0.15 / len(nodes))
-        for s, t, w in zip(edges["src_host"].to_pylist(),
-                           edges["dst_host"].to_pylist(),
-                           edges["n_links"].to_pylist()):
-            new[idx[t]] += 0.85 * r[idx[s]] * w / outw[s]
-        r = new
-    ref = {h: r[idx[h]] for h in nodes}
-    for h in nodes:
-        assert abs(got.set_index("host")["rank"][h] / SCALE - ref[h]) < 1e-6
-
-
-def test_pagerank_pages_composed(ray_session):
-    """pages → link harvest → host graph → rank, end to end; the
-    zipfian synth host distribution must surface in the ranking."""
-    t = pagerank_pages(SF).to_pandas()
-    assert len(t) > 1
-    assert (t["rank"] > 0).all()
-    # determinism across runs
-    t2 = pagerank_pages(SF).to_pandas()
-    assert t.equals(t2)
 
 
 def test_page_links_distributed(ray_session):

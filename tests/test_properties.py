@@ -331,6 +331,79 @@ def test_rc4_known_answer():
     )
 
 
+# ISO 32000-1 §7.6.3.3, Algorithm 2 step a): the 32-byte password
+# padding string, typed from the spec rather than imported.
+SPEC_PAD = bytes.fromhex(
+    "28BF4E5E4E758A4164004E56FFFA01082E2E00B6D0683E80"
+    "2F0CA9FE6453697A"
+)
+
+
+def test_pdf_key_derivation_matches_spec_algorithms():
+    """The parser's key derivation against the spec's algorithms,
+    recomputed here with hashlib (and the FIPS-197-pinned AES for
+    2.B). synth's encrypted PDFs call the same parser functions, so a
+    wrong padding byte or a dropped salt would still round-trip; only
+    an independent derivation catches it."""
+    import hashlib
+
+    from nidaba_ray.algorithms.aes import encrypt_cbc
+    from nidaba_ray.stages.pdf import (
+        _PAD,
+        _aes_obj_key,
+        _hash_2b,
+        _obj_key,
+        _std_file_key,
+    )
+
+    assert _PAD == SPEC_PAD
+    O = hashlib.sha256(b"owner entry").digest()   # any 32-byte /O
+    P = -1044                                      # /P, signed 32-bit
+    id0 = hashlib.md5(b"first /ID").digest()
+
+    # Algorithm 2, empty user password: md5(pad ‖ O ‖ P as 4-byte LE
+    # unsigned ‖ ID[0]); R ≥ 3 rehashes the first n bytes 50 times
+    h = hashlib.md5(SPEC_PAD + O + (P % 2**32).to_bytes(4, "little")
+                    + id0).digest()
+    r2 = h[:5]                                     # R2 is always 40-bit
+    r3 = h
+    for _ in range(50):
+        r3 = hashlib.md5(r3[:16]).digest()
+    assert _std_file_key(O, P, id0, 2, 40) == r2
+    assert _std_file_key(O, P, id0, 3, 128) == r3[:16]
+
+    # Algorithm 1: md5(file key ‖ low 3 bytes of the object number ‖
+    # low 2 bytes of the generation, both LE [‖ "sAlT" for AESV2]),
+    # truncated to n + 5 bytes, at most 16
+    num, gen = 0x0ABCDE, 7
+    for key in (r2, r3[:16]):
+        tail = num.to_bytes(3, "little") + gen.to_bytes(2, "little")
+        rc4_key = hashlib.md5(key + tail).digest()[:min(len(key) + 5, 16)]
+        aes_key = hashlib.md5(key + tail + b"\x73\x41\x6c\x54").digest()
+        assert _obj_key(key, num, gen) == rc4_key
+        assert _aes_obj_key(key, num, gen) == aes_key[:min(len(key) + 5, 16)]
+
+    # ISO 32000-2 Algorithm 2.B: SHA-256 seed, then rounds of
+    # AES-128-CBC over 64 × (pwd ‖ K ‖ udata) keyed by K[:16], IV
+    # K[16:32]; E[:16] as a big-endian integer mod 3 picks SHA-256/384/
+    # 512 for the next K; stop after round 64 or later once E's last
+    # byte ≤ rounds done − 32
+    def hash_2b(pwd: bytes, salt: bytes, udata: bytes) -> bytes:
+        k = hashlib.sha256(pwd + salt + udata).digest()
+        rounds, e = 0, b"\xff"
+        while rounds < 64 or e[-1] > rounds - 32:
+            e = encrypt_cbc(k[:16], k[16:32], (pwd + k + udata) * 64)
+            algo = ("sha256", "sha384", "sha512")[
+                int.from_bytes(e[:16], "big") % 3]
+            k = hashlib.new(algo, e).digest()
+            rounds += 1
+        return k[:32]
+
+    salt = bytes(range(8))
+    for pwd, udata in ((b"", b""), (b"owner", bytes(range(48)))):
+        assert _hash_2b(pwd, salt, udata) == hash_2b(pwd, salt, udata)
+
+
 @given(st.lists(st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz()\\%<>", min_size=1, max_size=20
 ), min_size=1, max_size=40))

@@ -77,70 +77,3 @@ def test_stratified_small_k_and_layout_invariance(ray_session):
     b = (stratified_over(ds, k=7).to_pandas()
          .sort_values(["lang", "doc_id"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
-
-
-def test_budget_sample_sql_parity(ray_session):
-    """Token-budget sampler ≡ the DuckDB window-cumsum replay, on the
-    default budgets AND a budget map that exercises every branch
-    (excluded lang, tiny budget, whole-language-fits budget)."""
-    from nidaba_ray.pipelines.curate import budget_sample, budget_sql
-
-    con = duckdb.connect()
-    _view(con)
-    for budgets in (None,
-                    {"en": 400, "fr": 10_000_000, "de": 37, "zh": 0}):
-        ours = budget_sample(SF, budgets).to_pandas().sort_values(
-            "doc_id").reset_index(drop=True)
-        theirs = con.execute(budget_sql(budgets)).fetchdf().sort_values(
-            "doc_id").reset_index(drop=True)
-        assert ours["doc_id"].tolist() == theirs["doc_id"].tolist()
-        assert ours["n_tokens"].tolist() == theirs["n_tokens"].tolist()
-        assert ours["lang"].tolist() == theirs["lang"].tolist()
-
-
-def test_budget_sample_budget_respected_and_maximal(ray_session):
-    """Kept token mass never exceeds the budget, and the kept prefix
-    is MAXIMAL: the next doc in rank order would overflow."""
-    import hashlib as _hl
-
-    from nidaba_ray.pipelines.curate import budget_sample
-
-    budgets = {"en": 500, "fr": 1234, "zh": 1}
-    out = budget_sample(SF, budgets).to_pandas()
-    con = duckdb.connect()
-    _view(con)
-    all_docs = con.execute(
-        "SELECT doc_id, lang, CAST(len(string_split(text,' ')) AS BIGINT)"
-        " AS n FROM documents").fetchdf()
-    all_docs["k64"] = [
-        int.from_bytes(_hl.md5(f"budget:{d}".encode()).digest()[:8], "big")
-        for d in all_docs["doc_id"]
-    ]
-    for lang, b in budgets.items():
-        kept = out[out["lang"] == lang]
-        assert kept["n_tokens"].sum() <= b
-        ordered = all_docs[all_docs["lang"] == lang].sort_values(
-            ["k64", "doc_id"])
-        cum = ordered["n"].cumsum()
-        expect_ids = ordered["doc_id"][cum <= b].tolist()
-        assert sorted(kept["doc_id"].tolist()) == sorted(expect_ids)
-        # maximality: the first excluded doc would overflow
-        if len(expect_ids) < len(ordered):
-            nxt = ordered["n"].iloc[len(expect_ids)]
-            assert kept["n_tokens"].sum() + nxt > b
-    # unlisted languages contribute nothing
-    assert set(out["lang"]) <= set(budgets)
-
-
-def test_budget_sample_layout_invariance(ray_session):
-    """Same kept set regardless of block layout (the histogram +
-    boundary-bucket plan has no layout dependence)."""
-    import ray.data as rd
-
-    from nidaba_ray.pipelines.curate import budget_sample
-
-    a = budget_sample(SF, {"en": 700, "de": 300}).to_pandas()
-    ds = budget_sample(SF, {"en": 700, "de": 300})
-    b = ds.repartition(13).to_pandas()
-    key = lambda df: sorted(map(tuple, df.values.tolist()))
-    assert key(a) == key(b)

@@ -1,10 +1,10 @@
-"""PII scrubbing, cross-doc paragraph dedup, and Gopher repetition
-metrics — test-level DuckDB oracles (driver surface is capped at 50;
-see docs/NEXT.md) plus hand-computed pins.
+"""PII scrubbing, Gopher repetition metrics, blocklist gates and
+keep-best exact dedup — test-level DuckDB oracles (driver surface is
+capped at 50; see docs/NEXT.md) plus hand-computed pins.
 
 The synthetic corpora here are derived deterministically from the
-sf0.001 documents table (no external data): PII tokens / paragraph
-structure are injected as pure functions of doc_id.
+sf0.001 documents table (no external data): PII tokens are injected
+as pure functions of doc_id.
 """
 
 import duckdb
@@ -19,7 +19,6 @@ from nidaba_ray.functions.scrub import (
     scrub_sql_expr,
     scrub_text_column,
 )
-from nidaba_ray.functions.dedup import dedup_paragraphs
 from nidaba_ray.functions.textops import _doc_repetition, repetition_metrics
 
 SF = "/root/testdata/sf0.001"
@@ -88,77 +87,6 @@ def test_scrub_kernel_edge_cases():
     assert got[1] == "server <IP> and phone <PHONE> ok"
 
 
-def _para_corpus(tmp_path):
-    """Line-structured corpus: doc text chunked into 7-word lines plus
-    a per-site boilerplate footer shared by ~50 docs (doc_id // 50)."""
-    docs = duckdb.connect().execute(
-        f"SELECT doc_id, text FROM read_parquet('{SF}/documents.parquet')"
-    ).fetch_arrow_table()
-    texts = []
-    for i, t in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
-        toks = t.split(" ")
-        lines = [" ".join(toks[j:j + 7]) for j in range(0, len(toks), 7)]
-        lines.append(f"site {i // 50} footer — all rights reserved")
-        texts.append("\n".join(lines))
-    out = pa.table({"doc_id": docs["doc_id"],
-                    "text": pa.array(texts, pa.string())})
-    d = tmp_path / "para"
-    d.mkdir()
-    pq.write_table(out, d / "documents.parquet")
-    return str(d)
-
-
-PARA_ORACLE = """
-WITH docs AS (SELECT doc_id, text FROM read_parquet('{sf}/documents.parquet')),
-lines AS (SELECT doc_id, u.line, u.seq FROM docs,
-          LATERAL (SELECT unnest(string_split(text, chr(10))) AS line,
-                          generate_subscripts(string_split(text, chr(10)), 1) AS seq) u),
-df AS (SELECT line, count(DISTINCT doc_id) AS n FROM lines GROUP BY line)
-SELECT l.doc_id, string_agg(l.line, chr(10) ORDER BY l.seq) AS text
-FROM lines l JOIN df USING (line) WHERE df.n <= {max_df}
-GROUP BY l.doc_id ORDER BY l.doc_id
-"""
-
-
-@pytest.mark.parametrize("max_df", [1, 3])
-def test_dedup_paragraphs_matches_duckdb_oracle(ray_session, tmp_path, max_df):
-    sf = _para_corpus(tmp_path)
-    mine = (dedup_paragraphs(sf, max_df=max_df).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-    ora = duckdb.connect().execute(
-        PARA_ORACLE.format(sf=sf, max_df=max_df)).df()
-    assert mine.equals(ora)
-    if max_df == 1:
-        # the shared footers really were removed
-        assert not mine["text"].str.contains("footer", regex=False).any()
-
-
-def test_dedup_paragraphs_edge_cases(ray_session, tmp_path):
-    """Within-doc repeats survive (df counts DISTINCT docs), fully
-    boilerplate docs vanish, empty lines behave like any other line."""
-    docs = pa.table({
-        "doc_id": pa.array(range(6), pa.int64()),
-        "text": pa.array([
-            "alpha beta\nshared footer\nunique one",
-            "gamma delta\nshared footer\nunique two",
-            "shared footer\nshared footer\nepsilon",
-            "zeta eta",
-            "shared footer",
-            "theta\n\niota",
-        ], pa.string()),
-    })
-    d = tmp_path / "edge"
-    d.mkdir()
-    pq.write_table(docs, d / "documents.parquet")
-    mine = (dedup_paragraphs(str(d), max_df=1).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-    ora = duckdb.connect().execute(
-        PARA_ORACLE.format(sf=str(d), max_df=1)).df()
-    assert mine.equals(ora)
-    assert mine["doc_id"].tolist() == [0, 1, 2, 3, 5]  # doc 4 fully dropped
-    assert mine.loc[2, "text"] == "epsilon"  # in-doc repeat still boilerplate
-
-
 def test_repetition_metrics_hand_pins():
     # one repeated line out of three
     f = _doc_repetition("ab cd\nxy\nab cd")
@@ -196,304 +124,6 @@ def test_repetition_metrics_corpus(ray_session):
     got = row[["dup_line_frac", "top2gram_char_frac", "top3gram_char_frac",
                "top4gram_char_frac", "dup5gram_char_frac"]].to_numpy(float)
     assert np.allclose(got, exp)
-
-
-# ---------------------------------------------------------------------------
-# Duplicate-SPAN removal (exact substring dedup, Lee et al. 2021 style)
-# ---------------------------------------------------------------------------
-
-def _span_corpus(tmp_path):
-    """Corpus with deterministic syndicated spans: every 4th doc gets a
-    shared 11-token wire-service tail, every 5th a shared 8-token promo
-    lead — both recur across docs, the surrounding text does not."""
-    docs = duckdb.connect().execute(
-        f"SELECT doc_id, text FROM read_parquet('{SF}/documents.parquet')"
-    ).fetch_arrow_table()
-    wire = ("this article is syndicated from the example news network "
-            "wire service")
-    promo = "subscribe today for unlimited access to every story"
-    texts = []
-    for i, t in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
-        parts = []
-        if i % 5 == 0:
-            parts.append(promo)
-        parts.append(t)
-        if i % 4 == 0:
-            parts.append(wire)
-        texts.append(" ".join(parts))
-    out = pa.table({"doc_id": docs["doc_id"],
-                    "text": pa.array(texts, pa.string())})
-    d = tmp_path / "span"
-    d.mkdir()
-    pq.write_table(out, d / "documents.parquet")
-    return str(d), wire, promo
-
-
-SPAN_ORACLE = """
-WITH base AS (SELECT doc_id, string_split(text, ' ') AS t
-              FROM read_parquet('{sf}/documents.parquet')),
-toks AS (
-  SELECT doc_id, unnest(t) AS tok,
-         unnest(range(1, len(t) + 1)) AS pos
-  FROM base
-),
-grams AS (
-  SELECT doc_id,
-         unnest(range(1, greatest(len(t) - {n} + 2, 1))) AS i,
-         unnest(list_transform(range(1, greatest(len(t) - {n} + 2, 1)),
-                i -> array_to_string(t[i:i+{nm1}], ' '))) AS g
-  FROM base
-),
-freq AS (SELECT g FROM grams GROUP BY g
-         HAVING count(DISTINCT doc_id) > {max_df}),
-cov AS (
-  SELECT DISTINCT doc_id, i + unnest(range(0, {n})) AS pos
-  FROM grams JOIN freq USING (g)
-),
-sizes AS (SELECT doc_id, len(t) AS n_t FROM base),
-kept AS (
-  SELECT t.doc_id, t.pos, t.tok FROM toks t
-  LEFT JOIN cov c ON c.doc_id = t.doc_id AND c.pos = t.pos
-  WHERE c.pos IS NULL
-)
-SELECT k.doc_id, string_agg(k.tok, ' ' ORDER BY k.pos) AS text,
-       MAX(s.n_t) - count(*) AS n_removed
-FROM kept k JOIN sizes s ON s.doc_id = k.doc_id
-GROUP BY k.doc_id ORDER BY k.doc_id
-"""
-
-
-def test_remove_duplicate_spans_matches_duckdb_oracle(ray_session, tmp_path):
-    from nidaba_ray.functions.dedup import remove_duplicate_spans
-
-    sf, wire, promo = _span_corpus(tmp_path)
-    n = 8
-    mine = (remove_duplicate_spans(sf, n=n).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-    ora = duckdb.connect().execute(
-        SPAN_ORACLE.format(sf=sf, n=n, nm1=n - 1, max_df=1)).df()
-    ora["n_removed"] = ora["n_removed"].astype("int64")
-    assert mine.equals(ora)
-    joined = " ".join(mine["text"])
-    assert wire not in joined and promo not in joined
-    # docs the pass did not touch keep their exact text (the synthetic
-    # token soup DOES contain naturally recurring 8-grams, so not every
-    # uninjected doc is untouched — n_removed is the ground truth)
-    orig = duckdb.connect().execute(
-        f"SELECT doc_id, text FROM read_parquet('{SF}/documents.parquet') "
-        "WHERE doc_id % 4 != 0 AND doc_id % 5 != 0 ORDER BY doc_id").df()
-    m = mine.merge(orig, on="doc_id", suffixes=("_got", "_orig"))
-    assert ((m["text_got"] == m["text_orig"]) == (m["n_removed"] == 0)).all()
-    assert (m["n_removed"] == 0).any()
-    # injected docs lost at least the injected span's tokens
-    injected = mine[(mine["doc_id"] % 4 == 0) | (mine["doc_id"] % 5 == 0)]
-    assert (injected["n_removed"] >= 8).all()
-
-
-def test_remove_duplicate_spans_edge_cases(ray_session, tmp_path):
-    """Short docs (< n tokens) pass through untouched even when
-    byte-identical; a doc that IS one duplicated span vanishes; a span
-    covered by overlapping frequent windows is removed once."""
-    from nidaba_ray.functions.dedup import remove_duplicate_spans
-
-    span = "a b c d e f g h i j"            # 10 tokens, shared
-    docs = pa.table({
-        "doc_id": pa.array(range(5), pa.int64()),
-        "text": pa.array([
-            f"left unique{0} {span} right{0}",
-            f"prefix unique{1} {span} suffix{1}",
-            span,                             # entirely duplicated
-            "tiny doc",                       # < n: never fingerprinted
-            "tiny doc",                       # identical, still kept
-        ], pa.string()),
-    })
-    d = tmp_path / "spanedge"
-    d.mkdir()
-    pq.write_table(docs, d / "documents.parquet")
-    out = (remove_duplicate_spans(str(d), n=8).to_pandas()
-           .sort_values("doc_id").reset_index(drop=True))
-    assert list(out["doc_id"]) == [0, 1, 3, 4]  # doc 2 vanished
-    assert list(out[out["doc_id"] == 0]["text"]) == ["left unique0 right0"]
-    assert list(out[out["doc_id"] == 1]["text"]) == ["prefix unique1 suffix1"]
-    assert (out[out["doc_id"] >= 3]["text"] == "tiny doc").all()
-    assert list(out["n_removed"]) == [10, 10, 0, 0]
-
-
-# ---------------------------------------------------------------------------
-# Benchmark decontamination (GPT-3 appendix-C style n-gram collision)
-# ---------------------------------------------------------------------------
-
-DECON_ORACLE = """
-WITH base AS (SELECT doc_id, string_split(text, ' ') AS t
-              FROM read_parquet('{sf}/documents.parquet')),
-grams AS (
-  SELECT doc_id,
-         unnest(list_transform(range(1, greatest(len(t) - {n} + 2, 1)),
-                i -> array_to_string(t[i:i+{nm1}], ' '))) AS g
-  FROM base
-),
-bench(g) AS (SELECT unnest(list_transform(
-    range(1, greatest(len(bt) - {n} + 2, 1)),
-    i -> array_to_string(bt[i:i+{nm1}], ' ')))
-  FROM (SELECT unnest([{bench_texts}]) AS s),
-       (SELECT string_split(s, ' ') AS bt)
-),
-hits AS (
-  SELECT gr.doc_id, count(*) AS n_hits
-  FROM grams gr JOIN (SELECT DISTINCT g FROM bench) b USING (g)
-  GROUP BY gr.doc_id
-)
-SELECT d.doc_id, COALESCE(h.n_hits, 0)::BIGINT AS n_hits,
-       COALESCE(h.n_hits, 0) > 0 AS contaminated
-FROM (SELECT doc_id FROM read_parquet('{sf}/documents.parquet')) d
-LEFT JOIN hits h ON h.doc_id = d.doc_id
-ORDER BY d.doc_id
-"""
-
-
-def test_decontaminate_matches_duckdb_oracle(ray_session, tmp_path):
-    from nidaba_ray.functions.dedup import (decontaminate_flags,
-                                            decontaminated_corpus)
-
-    # corpus: every 7th doc embeds a benchmark item verbatim
-    docs = duckdb.connect().execute(
-        f"SELECT doc_id, text FROM read_parquet('{SF}/documents.parquet')"
-    ).fetch_arrow_table()
-    bench = [
-        "what is the capital city of the example republic the answer "
-        "is the harbor city on the northern coast",
-        "compute the sum of the first twelve positive integers and "
-        "explain each step of the calculation in words",
-    ]
-    texts = []
-    for i, t in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
-        if i % 7 == 0:
-            texts.append(f"{t} {bench[i % 2]}")
-        else:
-            texts.append(t)
-    out = pa.table({"doc_id": docs["doc_id"],
-                    "text": pa.array(texts, pa.string())})
-    d = tmp_path / "decon"
-    d.mkdir()
-    pq.write_table(out, d / "documents.parquet")
-
-    n = 13
-    mine = (decontaminate_flags(str(d), bench, n=n).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-    bench_sql = ", ".join("'" + b.replace("'", "''") + "'" for b in bench)
-    ora = duckdb.connect().execute(DECON_ORACLE.format(
-        sf=str(d), n=n, nm1=n - 1, bench_texts=bench_sql)).df()
-    assert mine.equals(ora)
-    # injected docs flagged, clean docs not (tokens are synthetic word
-    # soup — a verbatim 13-gram collision cannot occur by accident)
-    assert (mine[mine["doc_id"] % 7 == 0]["contaminated"]).all()
-    assert not (mine[mine["doc_id"] % 7 != 0]["contaminated"]).any()
-    clean = decontaminated_corpus(str(d), bench, n=n).to_pandas()
-    assert set(clean["doc_id"]) == set(
-        mine[~mine["contaminated"]]["doc_id"])
-
-
-def test_decontaminate_edge_cases(ray_session, tmp_path):
-    """Docs shorter than n are never flagged; an exact benchmark copy
-    is; an empty benchmark flags nothing."""
-    from nidaba_ray.functions.dedup import decontaminate_flags
-
-    bench = ["a b c d e f g h i j k l m"]  # 13 tokens = one 13-gram
-    docs = pa.table({
-        "doc_id": pa.array(range(3), pa.int64()),
-        "text": pa.array([
-            "a b c d e f g h i j k l m",    # exact copy → flagged
-            "a b c d e f g h i j k l",      # 12 tokens → no 13-gram
-            "x " + "a b c d e f g h i j k l m" + " y",
-        ], pa.string()),
-    })
-    d = tmp_path / "deconedge"
-    d.mkdir()
-    pq.write_table(docs, d / "documents.parquet")
-    out = (decontaminate_flags(str(d), bench).to_pandas()
-           .sort_values("doc_id").reset_index(drop=True))
-    assert list(out["contaminated"]) == [True, False, True]
-    empty = (decontaminate_flags(str(d), []).to_pandas())
-    assert not empty["contaminated"].any()
-
-
-def test_dedup_paragraphs_shuffled_fallback_equal(ray_session, tmp_path):
-    """max_broadcast=0 forces the no-broadcast (occurrence-join) line
-    rewrite — the mirrored-corpus shape where the frequent set
-    outgrows any broadcast bound (round-4 verdict item 1); output must
-    equal the broadcast path row for row, and the DuckDB line oracle
-    must still hold."""
-    sf = _para_corpus(tmp_path)
-    a = (dedup_paragraphs(sf, max_df=1).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    b = (dedup_paragraphs(sf, max_df=1, max_broadcast=0).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    assert a.equals(b)
-    ora = duckdb.connect().execute(
-        PARA_ORACLE.format(sf=sf, max_df=1)).df()
-    assert b.equals(ora)
-    # mirrored corpus: EVERY line duplicated → all docs vanish, both paths
-    docs = pa.table({
-        "doc_id": pa.array(range(20), pa.int64()),
-        "text": pa.array(["mirror line one\nmirror line two"] * 20,
-                         pa.string()),
-    })
-    d = tmp_path / "mirror"
-    d.mkdir()
-    pq.write_table(docs, d / "documents.parquet")
-    for kw in ({}, {"max_broadcast": 0}):
-        out = dedup_paragraphs(str(d), max_df=1, **kw).to_pandas()
-        assert len(out) == 0
-
-
-def test_remove_duplicate_spans_shuffled_fallback_equal(ray_session, tmp_path):
-    """max_broadcast=0 forces the no-broadcast (occurrence-join)
-    rewrite; output must equal the broadcast path row for row."""
-    from nidaba_ray.functions.dedup import remove_duplicate_spans
-
-    sf, _, _ = _span_corpus(tmp_path)
-    a = (remove_duplicate_spans(sf, n=8).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    b = (remove_duplicate_spans(sf, n=8, max_broadcast=0).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    assert a.equals(b)
-    assert (a["n_removed"] > 0).any()  # the pin is non-vacuous
-
-
-def test_shuffled_fallback_short_doc_blocks(ray_session, tmp_path):
-    """Batches of only <n-token docs emit 0-row occurrence blocks —
-    the fallback must survive them (the empty-first-block join hazard)
-    and pass short docs through untouched."""
-    from nidaba_ray.functions.dedup import remove_duplicate_spans
-
-    span = "p q r s t u v w x"  # 9 tokens, shared by two docs
-    docs = pa.table({
-        "doc_id": pa.array(range(40), pa.int64()),
-        "text": pa.array(
-            ["tiny"] * 30  # short docs first → leading empty blocks
-            + [f"u{i} {span} v{i}" for i in range(8)]
-            + ["also short", "me too"], pa.string()),
-    })
-    d = tmp_path / "shortfirst"
-    d.mkdir()
-    pq.write_table(docs, d / "documents.parquet")
-    out = (remove_duplicate_spans(str(d), n=8, max_broadcast=0).to_pandas()
-           .sort_values("doc_id").reset_index(drop=True))
-    assert len(out) == 40  # "tiny" docs are <n: never fingerprinted
-    mid = out[(out["doc_id"] >= 30) & (out["doc_id"] < 38)]
-    assert (mid["n_removed"] == 9).all()
-    assert list(mid["text"]) == [f"u{i} v{i}" for i in range(8)]
-    # all-short corpus: the n_occ == 0 early path is identity
-    d2 = tmp_path / "allshort"
-    d2.mkdir()
-    pq.write_table(pa.table({
-        "doc_id": pa.array([0, 1], pa.int64()),
-        "text": pa.array(["a b", "a b"], pa.string()),
-    }), d2 / "documents.parquet")
-    out2 = (remove_duplicate_spans(str(d2), n=8, max_broadcast=0)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert list(out2["text"]) == ["a b", "a b"]
-    assert list(out2["n_removed"]) == [0, 0]
 
 
 # ------------------------------------- batch-vs-scalar repetition
