@@ -1,8 +1,10 @@
 """String kernels — analog of nidaba/algorithms/string.py (UNVERIFIED
 citations per SURVEY.md §0; semantics reconstructed from the public repo).
 
-All functions are pure and deterministic; the numpy DP kernels are the
-hot path inside ``map_batches``/``map_groups`` stages.
+All functions are pure and deterministic. The unit-cost kernels
+(``edit_distance``, ``lcs_align``) share one bit-parallel DP
+(``_bit_columns``); the weighted ``full_edit_distance`` keeps the
+numpy DP matrix.
 
 Reference analogs:
     sanitize              ~ nidaba/algorithms/string.py:sanitize (NFC/NFD)
@@ -59,10 +61,39 @@ def split_paragraphs(text: str) -> list[str]:
     return [p for p in paras if p]
 
 
+def _bit_columns(a: Sequence, b: Sequence):
+    """The unit-cost edit DP of ``a`` against ``b`` as bit-parallel
+    columns (Myers 1999, Hyyrö 2003): yields ``(VP_j, VN_j)`` for
+    ``j = 0..len(b)``, Python ints over the rows of ``a``, bit ``i - 1``
+    set where ``D(i, j) - D(i - 1, j)`` is +1 (VP) or -1 (VN). So
+    ``D(i, j) = j + popcount(VP_j & (2**i - 1)) - popcount(VN_j & (2**i - 1))``.
+    One column costs a dozen big-int operations, O(len(a) / 64) words."""
+    full = (1 << len(a)) - 1
+    peq: dict = {}  # token -> the rows of ``a`` holding it
+    for i, t in enumerate(a):
+        peq[t] = peq.get(t, 0) | (1 << i)
+    vp, vn = full, 0  # D(i, 0) = i
+    yield vp, vn
+    for t in b:
+        eq = peq.get(t, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        hp = ((hp << 1) | 1) & full  # D(0, j) - D(0, j - 1) = +1
+        hn = (hn << 1) & full
+        vp = (hn | ~(xv | hp)) & full
+        vn = hp & xv
+        yield vp, vn
+
+
 def edit_distance(s1: Sequence, s2: Sequence) -> int:
     """Levenshtein distance over characters or token sequences.
 
-    Two-row numpy DP; O(len(s1)*len(s2)) time, O(min) space.
+    Read off the last bit-parallel column (:func:`_bit_columns`, Myers
+    1999 / Hyyrö 2003): ``len(b) + popcount(VP) - popcount(VN)``, with
+    the bits over the longer sequence and one column per item of the
+    shorter; O(len(s1)*len(s2)/64) time, O(max) space.
     """
     if s1 == s2:
         return 0
@@ -70,27 +101,9 @@ def edit_distance(s1: Sequence, s2: Sequence) -> int:
         s1, s2 = s2, s1
     if not s2:
         return len(s1)
-    # map tokens to ints for vectorized comparison
-    vocab = {}
-    a = np.fromiter((vocab.setdefault(t, len(vocab)) for t in s1), dtype=np.int64)
-    b = np.fromiter((vocab.setdefault(t, len(vocab)) for t in s2), dtype=np.int64)
-    prev = np.arange(len(b) + 1, dtype=np.int64)
-    cur = np.empty_like(prev)
-    for i in range(1, len(a) + 1):
-        cur[0] = i
-        sub = prev[:-1] + (b != a[i - 1])
-        # cur[j] = min(prev[j]+1, cur[j-1]+1, sub[j-1]); the cur[j-1]
-        # dependency is sequential, but np.minimum.accumulate linearizes it:
-        best = np.minimum(prev[1:] + 1, sub)
-        if best[0] > i + 1:
-            best[0] = i + 1  # candidate from cur[0] + insert
-        cur[1:] = np.minimum.accumulate(
-            best - np.arange(1, len(b) + 1)
-        ) + np.arange(1, len(b) + 1)
-        # the accumulate trick: cur[j] = min_{k<=j}(best[k] + (j-k)); holds
-        # because insert cost is 1 per step.
-        prev, cur = cur, prev
-    return int(prev[-1])
+    for vp, vn in _bit_columns(s1, s2):
+        pass
+    return len(s2) + vp.bit_count() - vn.bit_count()
 
 
 def _sub_cost_row(
@@ -223,18 +236,35 @@ def lcs_align(a: Sequence, b: Sequence) -> list[tuple[int | None, int | None]]:
     unit costs). Returns aligned index pairs ``(i, j)``; ``None`` marks a
     gap. Deterministic tie-break order: diagonal > delete > insert.
 
+    The DP is kept as bit-parallel columns (Myers 1999 / Hyyrö 2003,
+    :func:`_bit_columns`): ``D(i, j) = j + popcount(VP_j & (2**i - 1))
+    - popcount(VN_j & (2**i - 1))``, 2·len(b) ints of len(a) bits
+    instead of an (n+1)×(m+1) matrix. The backtrace reads the cells it
+    visits: a match is always diagonal (``D(i, j) = D(i-1, j-1)``), and
+    every other step lowers ``D`` by one.
+
     Analog of nidaba's semi-global alignment + np_backtrace
     (string.py:≈200-450, UNVERIFIED).
     """
-    n, m = len(a), len(b)
-    dp = _dp_matrix(a, b)
+    cols = list(_bit_columns(a, b))
+
+    def dist(i: int, j: int) -> int:
+        vp, vn = cols[j]
+        low = (1 << i) - 1
+        return j + (vp & low).bit_count() - (vn & low).bit_count()
+
     pairs: list[tuple[int | None, int | None]] = []
-    i, j = n, m
+    i, j = len(a), len(b)
+    d = dist(i, j)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + (0 if a[i - 1] == b[j - 1] else 1):
-            pairs.append((i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and dp[i, j] == dp[i - 1, j] + 1:
+        if i > 0 and j > 0:
+            cost = int(a[i - 1] != b[j - 1])
+            if not cost or dist(i - 1, j - 1) == d - 1:
+                pairs.append((i - 1, j - 1))
+                i, j, d = i - 1, j - 1, d - cost
+                continue
+        d -= 1
+        if i > 0 and cols[j][0] >> (i - 1) & 1:  # D(i, j) = D(i-1, j) + 1
             pairs.append((i - 1, None))
             i -= 1
         else:
@@ -370,7 +400,6 @@ def sym_suggest(
     for key in strings_by_deletion(token, max_dist):
         for w in deletion_index.get(key, ()):
             seen.add(w)
-    ranked = sorted(
-        ((edit_distance(token, w), w) for w in seen if edit_distance(token, w) <= max_dist)
-    )
+    ranked = sorted((d, w) for d, w in ((edit_distance(token, w), w) for w in seen)
+                    if d <= max_dist)
     return [w for _, w in ranked]

@@ -22,9 +22,12 @@ voted: token-level majority vote over LCS-aligned candidates, with
 the deterministic total order required for byte-identical output
 across parallelism levels (SURVEY.md §7 hard parts): vote count desc
 → token asc; backbone priority: variant score desc → variant index
-asc. A row whose masks differ goes through ``vote_row``, the same
-vote over one row of span dicts. ``spans`` and ``provenance`` are
-built from the table's columns and the kept indices.
+asc. A row whose masks differ is voted by ``vote_row`` (the layer
+the benchmark's tracer times per row), given its block texts and its
+slices of the batch scores and masks, so it builds no span dicts
+beyond one ``text`` key per block; ``_disagreement`` does the work.
+``spans`` and ``provenance`` are built from the table's columns and
+the kept indices.
 
 A ``groupby('url')`` shuffle is only needed in multi-crawl mode (same
 url from several snapshots) — see ``pipelines/crawls.merge_crawls``.
@@ -83,6 +86,7 @@ _PROVENANCE = pa.array(
     + [[{"stage": "quarantine", "variant": "error"}],
        [{"stage": "extract", "variant": "empty"}]],
     pa.list_(PROVENANCE_STRUCT))
+_PROVENANCE_ROWS = _PROVENANCE.to_pylist()
 
 
 class _Votes(NamedTuple):
@@ -191,15 +195,16 @@ def vote_row(
     keep_ab: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[str, list[dict], list[dict], int, int]:
     """One row → (final_text, kept_spans_with_offsets, provenance,
-    n_blocks, n_kept): a one-row ``_vote`` over the spans' ``text``;
-    the kept spans are copies of variant A's with ``start`` and ``end``
-    set where the final text has them.
+    n_blocks, n_kept): the vote of one row of span dicts; the kept
+    spans are copies of variant A's with ``start`` and ``end`` set
+    where the final text has them.
 
     ``scores`` / ``keep_ab`` are this row's slices of the batch arrays
     ``vote_columns`` computes once per batch (its block scores and the
-    Otsu and Sauvola keep masks); a caller voting one row leaves them
-    out. Variant C (nlbin) is computed only when A and B disagree, the
-    one case that reads it.
+    Otsu and Sauvola keep masks); with them the spans need only their
+    ``text``. A caller voting one row leaves them out. Variant C
+    (nlbin) is computed only when A and B disagree, the one case that
+    reads it (``_disagreement``).
 
     Candidate priority on disagreement = dictionary-hit ratio first
     (the nidaba vote-scoring semantics), static variant priority as
@@ -208,32 +213,35 @@ def vote_row(
     if scores is None:
         scores = np.fromiter((s["score"] for s in spans), dtype=np.float64,
                              count=n_blocks)
-    offsets = np.array([0, n_blocks])
     keep_a, keep_b = keep_ab or _keep_masks(
-        scores, offsets, np.array([payload_kind not in KEEP_ALL_KINDS]))
+        scores, np.array([0, n_blocks]),
+        np.array([payload_kind not in KEEP_ALL_KINDS]))
     texts = [s["text"] for s in spans]
-    v = _vote(pa.array(texts, pa.string()), offsets, keep_a, keep_b,
-              np.array([False]), lambda r, cand_a: _disagreement(
-                  texts, scores, keep_b, cand_a, cand_text, lang))
+    kept_ids = np.flatnonzero(keep_a).tolist()
+    kept_text = [texts[i] for i in kept_ids]
+    path, final = (AGREE if n_blocks else EMPTY), SPAN_SEP.join(kept_text)
+    if not np.array_equal(keep_a, keep_b):
+        path, final = _disagreement(texts, scores, keep_b, final, cand_text, lang)
+    start, end = _span_offsets([final], kept_text, [0, len(kept_ids)])
     kept = []
-    for i, start, end in zip(v.kept.tolist(), v.start.tolist(), v.end.tolist()):
+    for i, a, b in zip(kept_ids, start.tolist(), end.tolist()):
         s = dict(spans[i])
-        if start >= 0:
-            s["start"], s["end"] = start, end
+        if a >= 0:
+            s["start"], s["end"] = a, b
         kept.append(s)
-    return (v.final[0], kept, _PROVENANCE[int(v.path[0])].as_py(), n_blocks,
-            len(kept))
+    prov = [dict(p) for p in _PROVENANCE_ROWS[path]]
+    return final, kept, prov, n_blocks, len(kept)
 
 
 def vote_columns(cols: dict, blocks: ScoredBlocks) -> pa.Table:
     """The vote over passthrough columns + the batch's block table (the
     output of ``extract.extract_columns``), the second step of the
     ``FusedExtract`` actor. The A and B kernels run once over the
-    batch; only a row whose masks differ goes through ``vote_row``,
-    with its slices of the batch arrays. ``text``, ``spans``,
-    ``provenance``, ``n_blocks`` and ``n_kept`` are built from the
-    table's columns and the vote's index arrays, with no per-block
-    Python dict."""
+    batch; only a row whose masks differ is voted by ``vote_row``,
+    with its block texts and its slices of the batch arrays. ``text``,
+    ``spans``, ``provenance``, ``n_blocks`` and ``n_kept`` are built
+    from the table's columns and the vote's index arrays, with no
+    per-block Python dict outside those rows."""
     quarantined = pc.not_equal(cols["error"], "").to_numpy(zero_copy_only=False)
     thresholded = ~quarantined & ~pc.is_in(
         cols["payload_kind"], pa.array(sorted(KEEP_ALL_KINDS))).to_numpy(
@@ -245,8 +253,9 @@ def vote_columns(cols: dict, blocks: ScoredBlocks) -> pa.Table:
         cand_text, lang = (cols[name][r].as_py() if name in cols else None
                            for name in ("text", "lang"))
         final, _, prov, _, _ = vote_row(
-            blocks.span_dicts(r), cand_text, cols["payload_kind"][r].as_py(),
-            lang, blocks.score[a:b], (keep_a[a:b], keep_b[a:b]))
+            [{"text": t} for t in blocks.text[a:b].to_pylist()], cand_text,
+            lang=lang, scores=blocks.score[a:b],
+            keep_ab=(keep_a[a:b], keep_b[a:b]))
         return _PATHS[prov[-1]["variant"]], final
 
     v = _vote(blocks.text, blocks.offsets, keep_a, keep_b, quarantined, resolve)

@@ -271,6 +271,39 @@ def _fill_empty_pages(keep: np.ndarray, scores: np.ndarray,
     return keep
 
 
+def _unimodal(scores: np.ndarray, keep: np.ndarray, offsets: np.ndarray,
+              pages: np.ndarray, cls: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Otsu's unimodality guard on ``pages``, each with blocks on both
+    sides of its threshold: per page, whether the mean raw score above
+    it (``hi``) is under ``3·max(lo, 1)``, ``lo`` the mean below.
+    ``keep`` marks the blocks above, ``cls`` is each block's bin,
+    ``2·page + above``, and ``n`` the block count per bin as a
+    (pages × 2) array.
+
+    Every decision is the one-page ``ndarray.mean`` decision, bit for
+    bit. The means come from one segmented (``bincount``) sum per
+    class, which adds in sequence where ``ndarray.mean`` adds pairwise.
+    Either sum of n terms is within (n − 1)·ε/2·Σ|x| of the exact one,
+    so ``3·max(lo, 1) − hi`` can differ between the two by less than
+    ``tol`` (that bound for both classes and the last roundings,
+    widened 4×). Only a page within ``tol`` of the boundary is redone
+    with ``ndarray.mean``."""
+    n_lo, n_hi = n[pages, 0], n[pages, 1]
+    sums = np.bincount(cls, weights=scores, minlength=n.size).reshape(-1, 2)
+    mags = np.bincount(cls, weights=np.abs(scores), minlength=n.size).reshape(-1, 2)
+    lo, hi = sums[pages, 0] / n_lo, sums[pages, 1] / n_hi
+    bound = 3.0 * np.maximum(lo, 1.0)
+    out = hi < bound
+    tol = 4.0 * np.finfo(np.float64).eps * (
+        (n_lo + 2) * 3.0 * np.maximum(mags[pages, 0] / n_lo, 1.0)
+        + (n_hi + 2) * mags[pages, 1] / n_hi)
+    for k in np.flatnonzero(~(np.abs(bound - hi) > tol)).tolist():
+        a, b = offsets[pages[k]], offsets[pages[k] + 1]
+        s, above = scores[a:b], keep[a:b]
+        out[k] = float(s[above].mean()) < 3.0 * max(float(s[~above].mean()), 1.0)
+    return out
+
+
 def keep_global_otsu(scores: np.ndarray,
                      offsets: np.ndarray | None = None) -> np.ndarray:
     """Variant A — global threshold from the page's score histogram.
@@ -284,22 +317,19 @@ def keep_global_otsu(scores: np.ndarray,
     with uniform block scores) is unimodal and a blind threshold would
     cut the cluster in half. Guard: if the two classes' raw-score means
     are not well separated (< 3×), the page is single-class → keep
-    every positive-score block."""
+    every positive-score block (``_unimodal``, for all pages at
+    once)."""
     offsets = _page_offsets(scores, offsets)
     counts = np.diff(offsets)
     t = _otsu_thresholds(np.log1p(scores), offsets)
     keep = scores > np.repeat(np.maximum(t, 0.0), counts)
-    kept = _kept_per_page(keep, offsets)
-    # the guard's class means stay per page: a batched (reduceat) sum
-    # does not round like ndarray.mean, and could flip a decision
-    for j in np.flatnonzero((kept > 0) & (kept < counts)):
+    cls = 2 * np.repeat(np.arange(len(counts)), counts) + keep
+    n = np.bincount(cls, minlength=2 * len(counts)).reshape(-1, 2)
+    mixed = np.flatnonzero((n > 0).all(axis=1))
+    for j in mixed[_unimodal(scores, keep, offsets, mixed, cls, n)].tolist():
         a, b = offsets[j], offsets[j + 1]
-        s, kj = scores[a:b], keep[a:b]
-        lo_mean = float(s[~kj].mean())
-        hi_mean = float(s[kj].mean())
-        if hi_mean < 3.0 * max(lo_mean, 1.0):
-            keep[a:b] = s > 0
-    return _fill_empty_pages(keep, scores, offsets, kept)
+        keep[a:b] = scores[a:b] > 0
+    return _fill_empty_pages(keep, scores, offsets, n[:, 1])
 
 
 def _padded_rows(ls: np.ndarray, offsets: np.ndarray, pages: np.ndarray,

@@ -1,9 +1,13 @@
 """Property-based tests (hypothesis) for the deterministic kernels —
 the invariants byte-identity rests on. No Ray required."""
 
+import itertools
+import random
 import string
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +25,7 @@ from nidaba_ray.functions.dedup import (
     simhash64,
 )
 from nidaba_ray.functions.textops import winnow_fingerprint
+from nidaba_ray.stages.merge import MAX_ALIGN_TOKENS
 
 words = st.lists(
     st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6),
@@ -62,6 +67,95 @@ def test_lcs_align_covers_both_sequences(a, b):
     # matched pairs are monotone in both coordinates
     matched = [(i, j) for i, j in pairs if i is not None and j is not None]
     assert matched == sorted(matched)
+
+
+def ref_align(a, b):
+    """Unit-cost edit distance and alignment by the plain O(n·m) DP,
+    backtraced in the order diagonal > delete > insert."""
+    n, m = len(a), len(b)
+    dp = [[i + j if i == 0 or j == 0 else 0 for j in range(m + 1)]
+          for i in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            dp[i][j] = min(dp[i - 1][j] + 1, dp[i][j - 1] + 1,
+                           dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
+    pairs, i, j = [], n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
+            pairs.append((i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+            pairs.append((i - 1, None))
+            i -= 1
+        else:
+            pairs.append((None, j - 1))
+            j -= 1
+    return dp[n][m], pairs[::-1]
+
+
+# 1-3 symbol alphabets: nearly every cell ties, so the tie order shows
+tied = st.integers(min_value=1, max_value=3).flatmap(
+    lambda k: st.lists(st.sampled_from("abc"[:k]), max_size=40))
+
+
+@given(tied, tied)
+@settings(max_examples=300, deadline=None)
+def test_lcs_align_and_edit_distance_match_plain_dp(a, b):
+    dist, pairs = ref_align(a, b)
+    assert lcs_align(a, b) == pairs
+    assert edit_distance(a, b) == dist
+    assert edit_distance("".join(a), "".join(b)) == dist
+
+
+@pytest.mark.parametrize("alphabet,longest", [("ab", 5), ("abc", 3)])
+def test_lcs_align_matches_plain_dp_exhaustively(alphabet, longest):
+    """Every pair of short strings: a tie order differing in a few
+    percent of pairs shows here whatever the hypothesis draw."""
+    strings = [s for n in range(longest + 1)
+               for s in itertools.product(alphabet, repeat=n)]
+    for a in strings:
+        for b in strings:
+            dist, pairs = ref_align(a, b)
+            assert lcs_align(a, b) == pairs, (a, b)
+            assert edit_distance(a, b) == dist, (a, b)
+
+
+@given(words, words)
+@settings(max_examples=100, deadline=None)
+def test_lcs_align_matches_plain_dp_on_words(a, b):
+    dist, pairs = ref_align(a, b)
+    assert lcs_align(a, b) == pairs
+    assert edit_distance(a, b) == dist
+
+
+@pytest.mark.parametrize("a,b", [
+    ([], []), (["x"], []), ([], ["x", "y"]),
+    (list("abcab"), list("abcab")),          # identical
+    (list("abc"), list("xyzw")),             # disjoint
+    (list("aaaa"), list("aa")), (list("ab" * 9), list("ba" * 7)),
+    ([str(i % 7) for i in range(70)], [str(i % 5) for i in range(65)]),  # > 64 rows
+])
+def test_lcs_align_edge_cases_match_plain_dp(a, b):
+    dist, pairs = ref_align(a, b)
+    assert lcs_align(a, b) == pairs
+    assert edit_distance(a, b) == dist
+
+
+def test_lcs_align_at_max_tokens_stays_small():
+    """One alignment at ``MAX_ALIGN_TOKENS`` a side (the largest a vote
+    runs) keeps 2·n bit columns, not an (n+1)² int matrix (61.5 MiB
+    at int32): its traced peak stays under 16 MiB."""
+    rng = random.Random(5)
+    a = [f"w{rng.randrange(300)}" for _ in range(MAX_ALIGN_TOKENS)]
+    b = [t if rng.random() < 0.9 else "noise" for t in a]
+    tracemalloc.start()
+    try:
+        pairs = lcs_align(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == MAX_ALIGN_TOKENS
+    assert peak < 16 * 2**20, peak
 
 
 @given(words)

@@ -238,3 +238,87 @@ def test_ragged_batch_scratch_stays_linear():
         tracemalloc.stop()
     # a 64 × 32768 float matrix alone would be ~100× the input
     assert peak < 16 * scores.nbytes, peak / scores.nbytes
+
+
+# ---- Otsu's unimodality guard at its rounding boundary -----------------
+# The batch kernel sums each page's two classes with one segmented
+# (sequential) sum; ``ndarray.mean`` sums pairwise. The pages below sit
+# where that difference decides the guard.
+
+def _seq_mean(x: np.ndarray) -> float:
+    total = 0.0
+    for v in x.tolist():
+        total += v
+    return total / len(x)
+
+
+def _guard_decisions(page: np.ndarray):
+    """(``ndarray.mean`` decision, sequential-sum decision, whether
+    ``hi == 3·max(lo, 1)`` exactly under ``ndarray.mean``), or None
+    when Otsu leaves one class empty."""
+    keep = page > max(ref_otsu_threshold(page), 0.0)
+    if keep.all() or not keep.any():
+        return None
+    lo, hi = float(page[~keep].mean()), float(page[keep].mean())
+    return (hi < 3.0 * max(lo, 1.0),
+            _seq_mean(page[keep]) < 3.0 * max(_seq_mean(page[~keep]), 1.0),
+            hi == 3.0 * max(lo, 1.0))
+
+
+def _low_class_mix(rng) -> np.ndarray:
+    """9–16 low blocks of varied magnitude, two high blocks at the
+    smaller of 3× their pairwise and 3× their sequential mean."""
+    lo = rng.uniform(1.0, 3.0, int(rng.integers(9, 17)))
+    h = min(3.0 * float(lo.mean()), 3.0 * _seq_mean(lo))
+    return rng.permutation(np.concatenate((lo, [h, h])))
+
+
+def _high_class_mix(rng) -> np.ndarray:
+    """Three low blocks at 2.0 (bound 6.0 exactly) and 9–14 high blocks
+    of two magnitudes whose mean is 6.0 give or take a few ulps of the
+    last one: the first nudge whose two sums decide differently."""
+    k = int(rng.integers(9, 15))
+    hi = np.zeros(k)
+    while not 3.0 < hi[-1] < 10.0:
+        hi = np.where(rng.random(k) < 0.5, rng.uniform(4.5, 5.5, k),
+                      rng.uniform(6.5, 7.5, k))
+        hi[-1] = 6.0 * k - hi[:-1].sum()
+    page = np.concatenate(([2.0, 2.0, 2.0], hi))
+    for step in range(-8, 9):
+        nudged = page.copy()
+        nudged[-1] += step * np.spacing(hi[-1])
+        d = _guard_decisions(nudged)
+        if d is not None and d[0] != d[1]:
+            return nudged
+    return page
+
+
+def test_otsu_guard_decides_like_ndarray_mean_at_the_boundary():
+    rng = np.random.default_rng(17)
+    ties = [np.array([0.2, 0.5, 0.8, 3.0, 3.0]),          # lo < 1: bound 3.0
+            np.array([1.5, 2.5, 2.0, 6.0, 6.0, 6.0, 6.0])]
+    flips = {_low_class_mix: [], _high_class_mix: []}
+    for make in list(flips) * 600:
+        if len(flips[make]) == 25:
+            continue
+        page = make(rng)
+        d = _guard_decisions(page)
+        if d is None:
+            continue
+        if d[2]:
+            ties.append(page)
+        if d[0] != d[1]:
+            flips[make].append(page)
+    # the test has teeth: exact ties, and pages a sequential sum decides
+    # the other way, with ≥ 9 blocks in the mixed class
+    assert all(_guard_decisions(p)[2] for p in ties[:2])
+    assert len(ties) >= 20, len(ties)
+    assert [len(f) for f in flips.values()] == [25, 25]
+    flips = [p for f in flips.values() for p in f]
+    pages = ties + flips
+    offsets = np.concatenate(([0], np.cumsum([len(p) for p in pages])))
+    got = keep_global_otsu(np.concatenate(pages), offsets)
+    for j, page in enumerate(pages):
+        want = ref_keep_global_otsu(page)
+        assert np.array_equal(got[offsets[j]:offsets[j + 1]], want), page
+        assert np.array_equal(keep_global_otsu(page), want), page
