@@ -8,32 +8,42 @@ inputs to main-content scoring (the binarization analog).
 
 The block *machine* (stack semantics: block/container/chrome/skip/
 anchor handling) lives in ONE class, ``BlockMachine``, driven by two
-parse fronts: ``segment_html``, a regex scanner (the production
+parse fronts: ``segment_html``, a regex tokenizer (the production
 segmenter — the stdlib parser was ~50% of flagship per-row cost,
 BASELINE.md), and ``segment_html_stdlib`` over the stdlib
-``html.parser`` (the reference). Sharing the machine means the two
-fronts can only diverge in *tokenization*, which is exactly what the
-equivalence fuzz suite (tests/test_fastsegment.py) gates: it pins
+``html.parser`` (the reference). Both fronts hand the machine the same
+event tuples ``(text, end, start)``: a text run ``(raw, "", "")``, an
+end tag ``(_, name, "")`` and a start tag ``(_, attrs, name)``, where
+``attrs`` is ``""`` or an attribute list. The machine's ``feed`` walks
+a list of them in one loop over local variables, with one cached
+action code per distinct raw tag name. Sharing the machine means the
+two fronts can only diverge in *tokenization*, which is exactly what
+the equivalence fuzz suite (tests/test_fastsegment.py) gates: it pins
 them block-identical on the synth corpus, the real-page fixtures and
 a tag-soup fuzz, and a change to either must re-run it.
 
-The scanner has two lanes. The fast lane is one compiled pattern,
-``_FAST``, walked with ``finditer``: a text run, a strict end tag
-``</name>`` and a start tag whose attributes are plain (no attribute
-of interest, double-quoted values without ``<``/``>``) are each one C
-match. Every other token — a gap in the walk (comment, doctype, stray
-``<``, self-closing or unquoted tag, ...), a ``script``/``style``
-start, or a start tag whose attribute text may carry ``class``/
-``role``/``hidden``/... — goes to ``_faithful_token``, a transcription
-of html.parser's own start/end-tag parsing over its own compiled
-regexes, which consumes that one token; then the walk resumes. About
-2 tokens per page take the faithful path. Tag-name and attribute
+The tokenizer is one compiled pattern, ``_FAST``, run with ``findall``
+over a window of the page (``_WINDOW`` characters, cut at the next
+``<``, so no token spans two windows and a page's token list stays
+small). Its alternatives tile the window without gaps: a text run, a
+strict end tag ``</name>``, a start tag whose attributes are all plain
+(no attribute of interest, double-quoted values without ``<``/``>``,
+and not ``script``/``style``), and a lone ``<``. Every ``<`` starts a
+token, and the findall tuples are already machine events, except the
+lone ``<``: the *declined* token. The front finds each one with
+``list.index``, and ``_faithful_token`` — a transcription of
+html.parser's own start/end-tag parsing over its own compiled regexes —
+consumes the real token there (comment, doctype, stray ``<``,
+self-closing or unquoted tag, a ``script``/``style`` element, a start
+tag with ``class``/``role``/``hidden``/... attributes) into events. The
+text up to the next ``<`` is one more text event, and the walk resumes
+at the window token that starts at that ``<``. Tag-name and attribute
 separators in ``_FAST`` are ASCII whitespace only: html.parser's tag
 name runs through Unicode whitespace (``<p``, a no-break space, ``x>``
 is one tag, not ``<p>`` with an attribute ``x``), so a Unicode-aware
 separator would split names the reference keeps whole.
 
-The scanner's intended scope is the one the reference needs:
+The tokenizer's intended scope is the one the reference needs:
   * entities decoded in text nodes (html.unescape) and attr values;
   * <script>/<style> content treated as raw data until the closing tag;
   * comments / doctype / CDATA skipped;
@@ -50,6 +60,11 @@ Real-page semantics (beyond the synthetic corpus):
     ``style="display:none"``) and modal dialogs (``aria-modal="true"``,
     ``role="dialog"``) contribute no text at all.
 
+A block's text is its text runs joined, with whitespace runs collapsed
+to one space and trimmed by ``" ".join(s.split())``: ``str.split``'s
+whitespace is ``str.isspace``, the same predicate as ``re``'s Unicode
+``\\s`` (tests/test_properties.py checks every code point).
+
 Pure Python over C-backed ``re`` patterns, deterministic; one plain
 function call per page, no per-actor state. At real 100 TB scale the
 parser implementation is swappable behind the same block-list
@@ -62,6 +77,7 @@ from __future__ import annotations
 import re
 from html import unescape
 from html.parser import HTMLParser
+from operator import itemgetter
 
 __all__ = ["segment_html", "segment_html_stdlib", "Block", "BlockMachine"]
 
@@ -75,13 +91,12 @@ BLOCK_TAGS = {
 CHROME_TAGS = {"nav", "aside", "footer", "header"}
 # Structural containers: opening or closing one is a block boundary
 # (an implicit div-text block never spans sibling containers). Chrome
-# tags are containers too — the flush set is the union.
+# tags are containers too.
 CONTAINER_TAGS = {
     "div", "section", "article", "main", "body", "ul", "ol", "dl",
     "table", "thead", "tbody", "tfoot", "tr", "form", "fieldset",
     "figure", "details", "address", "hgroup",
 }
-_FLUSH_TAGS = CONTAINER_TAGS | CHROME_TAGS
 # Elements whose content is never page text: executable/styling
 # payloads, the head, vector graphics (svg <text> labels are drawing
 # instructions), MathML (glyph runs carry no inter-element spacing —
@@ -93,8 +108,6 @@ SKIP_TAGS = {"script", "style", "noscript", "template", "svg", "head",
 # Void elements (never pushed on the open-tag stack).
 VOID_TAGS = {"br", "hr", "img", "input", "meta", "link", "area", "base",
              "col", "embed", "source", "track", "wbr"}
-
-_WS = re.compile(r"\s+")
 
 # class/id tokens that mark site furniture on otherwise-neutral tags
 # (a <div class="cookie-banner">, <section id="comments">, ...).
@@ -161,120 +174,198 @@ def _attrs_mark_hidden(attrs) -> bool:
 class Block:
     __slots__ = ("kind", "depth", "text", "anchor_chars", "in_chrome", "n_tags")
 
-    def __init__(self, kind: str, depth: int, in_chrome: bool):
+    def __init__(self, kind: str, depth: int, in_chrome: bool, text: str = "",
+                 anchor_chars: int = 0, n_tags: int = 0):
         self.kind = kind
         self.depth = depth
         self.in_chrome = in_chrome
-        self.text = ""
-        self.anchor_chars = 0
-        self.n_tags = 0
+        self.text = text
+        self.anchor_chars = anchor_chars
+        self.n_tags = n_tags
+
+
+# One action code per tag name. An open element's stack entry carries
+# ``code << 2`` plus its skip (1) and chrome (2) bits, so a plain
+# inline element is 0 and its end tag costs no decoding.
+_INLINE, _ANCHOR, _BLOCK, _FLUSH, _CHROME, _SKIP, _BR, _VOID = range(8)
+_SKIP_BIT, _CHROME_BIT = 1, 2
+_CODES = {tag: code for code, tags in (
+    (_FLUSH, CONTAINER_TAGS), (_CHROME, CHROME_TAGS), (_BLOCK, BLOCK_TAGS),
+    (_SKIP, SKIP_TAGS), (_VOID, VOID_TAGS), (_BR, {"br"}), (_ANCHOR, {"a"}),
+) for tag in tags}
+# raw tag name → (code, lowercased name); bounded so a page of distinct
+# made-up names cannot grow it without limit
+_ACTIONS: dict[str, tuple[int, str]] = {}
+_ACTIONS_MAX = 4096
+
+
+def _action(raw: str) -> tuple[int, str]:
+    tag = raw.lower()
+    act = (_CODES.get(tag, _INLINE), tag)
+    if len(_ACTIONS) < _ACTIONS_MAX:
+        _ACTIONS[raw] = act
+    return act
+
+
+def _close_block(blocks, parts, kind, depth, in_chrome, anchor, n_tags):
+    """Join the open block's text runs; keep the block if any text is left."""
+    text = " ".join("".join(parts).split())
+    parts.clear()
+    if text:
+        blocks.append(Block(kind, depth, in_chrome, text, anchor, n_tags))
 
 
 class BlockMachine:
-    """The shared stack machine: ``start``/``end``/``data`` events in,
-    reading-order blocks out. Both parse fronts drive this one class —
-    block semantics cannot diverge between them."""
+    """The shared stack machine: event tuples in, reading-order blocks
+    out. Both parse fronts drive this one class — block semantics
+    cannot diverge between them. The open block lives in scalar fields
+    (``kind`` is None when no block is open) and becomes a ``Block``
+    only when it closes with text."""
 
-    __slots__ = ("stack", "skip_flags", "chrome_flags", "blocks", "cur",
-                 "cur_parts", "skip_depth", "chrome_depth", "anchor_depth",
-                 "n_open")
+    __slots__ = ("stack", "info", "n_open", "blocks", "parts", "kind",
+                 "depth", "in_chrome", "n_tags", "anchor", "skip_depth",
+                 "chrome_depth", "anchor_depth")
 
     def __init__(self) -> None:
+        # open tag names, and per entry its code and skip/chrome bits
         self.stack: list[str] = []
+        self.info: list[int] = []
         # per-tag count of ``stack``: "is it open?" is O(1), so an end
         # tag costs O(1) amortized at any nesting depth
         self.n_open: dict[str, int] = {}
-        self.skip_flags: list[bool] = []
-        self.chrome_flags: list[bool] = []
         self.blocks: list[Block] = []
-        self.cur: Block | None = None
-        self.cur_parts: list[str] = []
+        self.parts: list[str] = []
+        self.kind: str | None = None
+        self.depth = 0
+        self.in_chrome = False
+        self.n_tags = 0
+        self.anchor = 0
         self.skip_depth = 0
         self.chrome_depth = 0
         self.anchor_depth = 0
 
-    def _flush(self) -> None:
-        if self.cur is not None:
-            text = _WS.sub(" ", "".join(self.cur_parts)).strip()
-            self.cur.text = text
-            if text:
-                self.blocks.append(self.cur)
-            self.cur = None
-            self.cur_parts = []
+    def feed(self, events, decoded: bool = False) -> None:
+        """Apply ``(text, end, start)`` events in order. Text is
+        entity-decoded here unless the front already did
+        (``decoded``)."""
+        stack, info, n_open = self.stack, self.info, self.n_open
+        blocks, parts = self.blocks, self.parts
+        kind, depth, in_chrome = self.kind, self.depth, self.in_chrome
+        n_tags, anchor = self.n_tags, self.anchor
+        skip, chrome, anchor_depth = (self.skip_depth, self.chrome_depth,
+                                      self.anchor_depth)
+        actions = _ACTIONS
+        push, pop = stack.append, stack.pop
+        info_push, info_pop = info.append, info.pop
+        add_part = parts.append
+        for a, e, s in events:
+            if s:  # start tag; e is "" or its attribute list
+                try:
+                    code, tag = actions[s]
+                except KeyError:
+                    code, tag = _action(s)
+                if code <= _ANCHOR and not e:
+                    # inline: one counter, one push
+                    if code:
+                        anchor_depth += 1
+                    if kind is not None:
+                        n_tags += 1
+                    push(tag)
+                    n_open[tag] = n_open.get(tag, 0) + 1
+                    info_push(code << 2)
+                    continue
+                if code >= _BR:  # void
+                    if code == _BR and kind is not None:
+                        add_part(" ")
+                    continue
+                bits = (_SKIP_BIT if code == _SKIP
+                        else _CHROME_BIT if code == _CHROME else 0)
+                if e:
+                    if not bits & _SKIP_BIT and _attrs_mark_hidden(e):
+                        bits |= _SKIP_BIT
+                    if not bits and _attrs_mark_chrome(e):
+                        bits = _CHROME_BIT
+                if bits & _SKIP_BIT:
+                    skip += 1
+                if bits & _CHROME_BIT:
+                    chrome += 1
+                if code == _ANCHOR:
+                    anchor_depth += 1
+                if _BLOCK <= code <= _CHROME and (
+                        not skip or bits & _SKIP_BIT and skip == 1):
+                    # a block boundary, also where it opens a newly
+                    # hidden subtree; only a visible block opens one
+                    if kind is not None:
+                        _close_block(blocks, parts, kind, depth,
+                                     in_chrome, anchor, n_tags)
+                        kind = None
+                    if code == _BLOCK and not skip:
+                        kind, depth, in_chrome = tag, len(stack), chrome > 0
+                        n_tags = anchor = 0
+                elif kind is not None:
+                    n_tags += 1
+                push(tag)
+                n_open[tag] = n_open.get(tag, 0) + 1
+                info_push(code << 2 | bits)
+            elif e:  # end tag
+                try:
+                    code, tag = actions[e]
+                except KeyError:
+                    code, tag = _action(e)
+                # lenient: pop to the nearest matching open tag (tag
+                # soup safe); a tag that is not open ends nothing
+                if code >= _BR or not n_open.get(tag):
+                    continue
+                while True:
+                    t = pop()
+                    n_open[t] -= 1
+                    bits = info_pop()
+                    if bits:
+                        if bits & _SKIP_BIT:
+                            skip -= 1
+                        if bits & _CHROME_BIT:
+                            chrome -= 1
+                        code = bits >> 2
+                        if code == _ANCHOR:
+                            anchor_depth -= 1
+                        elif kind is not None and (
+                            t == kind if code == _BLOCK
+                            else not skip and (code == _FLUSH
+                                               or code == _CHROME)
+                        ):
+                            _close_block(blocks, parts, kind, depth,
+                                         in_chrome, anchor, n_tags)
+                            kind = None
+                    if t == tag:
+                        break
+            elif not skip:  # text run
+                if not decoded and "&" in a and _HAS_ENTITY.search(a):
+                    a = unescape(a)
+                if kind is None:
+                    # bare text directly under a container (leaf-div
+                    # case): open an implicit block so no text is lost
+                    if not a or a.isspace():
+                        continue
+                    kind = stack[-1] if stack else "body"
+                    if kind not in BLOCK_TAGS:
+                        kind = "div"
+                    depth, in_chrome = len(stack), chrome > 0
+                    n_tags = anchor = 0
+                add_part(a)
+                if anchor_depth:
+                    anchor += len(" ".join(a.split()))
+        self.kind, self.depth, self.in_chrome = kind, depth, in_chrome
+        self.n_tags, self.anchor = n_tags, anchor
+        self.skip_depth, self.chrome_depth, self.anchor_depth = (
+            skip, chrome, anchor_depth)
 
-    def start(self, tag: str, attrs=()) -> None:
-        if tag in VOID_TAGS:
-            if self.cur is not None and tag == "br":
-                self.cur_parts.append(" ")
-            return
-        skip_inc = tag in SKIP_TAGS or (bool(attrs) and _attrs_mark_hidden(attrs))
-        chrome_inc = tag in CHROME_TAGS or (
-            not skip_inc and bool(attrs) and _attrs_mark_chrome(attrs)
-        )
-        if skip_inc:
-            self.skip_depth += 1
-        if chrome_inc:
-            self.chrome_depth += 1
-        if tag == "a":
-            self.anchor_depth += 1
-        entered_skip = skip_inc and self.skip_depth == 1
-        if self.skip_depth == 0:
-            if tag in BLOCK_TAGS:
-                self._flush()
-                self.cur = Block(tag, len(self.stack), self.chrome_depth > 0)
-            elif tag in _FLUSH_TAGS:
-                self._flush()
-            elif self.cur is not None:
-                self.cur.n_tags += 1
-        elif entered_skip and (tag in BLOCK_TAGS or tag in _FLUSH_TAGS):
-            # a newly-hidden subtree is still a block boundary
-            self._flush()
-        elif self.cur is not None:
-            self.cur.n_tags += 1
-        self.stack.append(tag)
-        n_open = self.n_open
-        n_open[tag] = n_open.get(tag, 0) + 1
-        self.skip_flags.append(skip_inc)
-        self.chrome_flags.append(chrome_inc)
-
-    def end(self, tag: str) -> None:
-        if tag in VOID_TAGS:
-            return
-        # lenient: pop to the nearest matching open tag (tag soup safe)
-        n_open = self.n_open
-        if n_open.get(tag):
-            while self.stack:
-                t = self.stack.pop()
-                n_open[t] -= 1
-                if self.skip_flags.pop():
-                    self.skip_depth = max(0, self.skip_depth - 1)
-                if self.chrome_flags.pop():
-                    self.chrome_depth = max(0, self.chrome_depth - 1)
-                if t == "a":
-                    self.anchor_depth = max(0, self.anchor_depth - 1)
-                if t in BLOCK_TAGS and self.cur is not None and t == self.cur.kind:
-                    self._flush()
-                elif t in _FLUSH_TAGS and self.skip_depth == 0:
-                    self._flush()
-                if t == tag:
-                    break
-
-    def data(self, text: str) -> None:
-        """``text`` is already entity-decoded (both fronts decode)."""
-        if self.skip_depth or not text:
-            return
-        if self.cur is None:
-            # bare text directly under a container (leaf-div case):
-            # open an implicit block so no text is lost.
-            if text.strip():
-                parent = self.stack[-1] if self.stack else "body"
-                self.cur = Block("div" if parent not in BLOCK_TAGS else parent,
-                                 len(self.stack), self.chrome_depth > 0)
-            else:
-                return
-        self.cur_parts.append(text)
-        if self.anchor_depth:
-            self.cur.anchor_chars += len(_WS.sub(" ", text).strip())
+    def close(self) -> list[Block]:
+        """Close the trailing block; return the page's blocks."""
+        if self.kind is not None:
+            _close_block(self.blocks, self.parts, self.kind, self.depth,
+                         self.in_chrome, self.anchor, self.n_tags)
+            self.kind = None
+        return self.blocks
 
 
 class _Segmenter(HTMLParser):
@@ -283,20 +374,16 @@ class _Segmenter(HTMLParser):
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.m = BlockMachine()
+        self.events: list[tuple] = []
 
     def handle_starttag(self, tag: str, attrs) -> None:
-        self.m.start(tag, attrs)
+        self.events.append(("", attrs, tag))
 
     def handle_endtag(self, tag: str) -> None:
-        self.m.end(tag)
+        self.events.append(("", tag, ""))
 
     def handle_data(self, data: str) -> None:
-        self.m.data(data)
-
-    def close(self) -> None:  # flush trailing block
-        super().close()
-        self.m._flush()
+        self.events.append((data, "", ""))
 
 
 def segment_html_stdlib(html_text: str) -> list[Block]:
@@ -306,7 +393,9 @@ def segment_html_stdlib(html_text: str) -> list[Block]:
     seg = _Segmenter()
     seg.feed(html_text)
     seg.close()
-    return seg.m.blocks
+    m = BlockMachine()
+    m.feed(seg.events, decoded=True)
+    return m.close()
 
 
 _TOKEN = re.compile(
@@ -332,7 +421,7 @@ _RAWDATA_END = {
 }
 _HAS_ENTITY = re.compile(r"&[#a-zA-Z]")
 
-# Start tags off the fast lane are parsed with html.parser's OWN
+# Start tags that _FAST declines are parsed with html.parser's OWN
 # compiled regexes and a faithful transcription of parse_starttag/
 # check_for_whole_start_tag — parity with the stdlib reference implementation by construction
 # (verified by the equivalence fuzz suite). All three are C-backed
@@ -353,35 +442,48 @@ _LETTERS_EQ_SLASH = _ASCII_LETTERS | {"=", "/"}
 _INTEREST_ATTRS = frozenset(
     ("class", "id", "role", "hidden", "aria-hidden", "aria-modal", "style")
 )
-# Cheap pre-check on the raw tag slice, built from the set above so the
-# two cannot drift apart: when none of the interesting attr names can
-# occur, the fast lane takes the tag and the faithful attr walk skips
-# all group extraction (the common case — most tags carry only
-# href/src; false positives from substrings in values just take the
+_INTEREST_NAME = "|".join(map(re.escape, sorted(_INTEREST_ATTRS)))
+# Cheap pre-check on a declined tag's raw slice, built from the set
+# above so the two cannot drift apart: when none of the interesting
+# attr names can occur, the faithful attr walk skips all group
+# extraction (false positives from substrings in values just take the
 # slower exact path).
-_HAS_INTEREST = re.compile(
-    "|".join(map(re.escape, sorted(_INTEREST_ATTRS))), re.I
-)
+_HAS_INTEREST = re.compile(_INTEREST_NAME, re.I)
 
-# The fast lane: one master pattern classifies the common tokens in C —
-# a text run, a strict end tag, a start tag with no or only plain
+# The tokenizer: one master pattern whose alternatives tile the text.
+# Group 1 is the whole token; group 2 an end tag's name, group 3 a
+# start tag's. A start tag is taken only with no or only plain
 # attributes (ASCII-whitespace separated, double-quoted values without
-# '<'/'>'). Separators are ASCII on purpose: html.parser's tag name
-# runs through Unicode whitespace ('<p\xa0x>' is one tag named
-# 'p\xa0x'), so '\s' here would split names the reference keeps whole.
+# '<'/'>'), none of them in _INTEREST_ATTRS, and not script/style.
+# Separators are ASCII on purpose: html.parser's tag name runs through
+# Unicode whitespace ('<p\xa0x>' is one tag named 'p\xa0x'), so '\s'
+# here would split names the reference keeps whole. re.ASCII keeps the
+# case-insensitive lookaheads to ASCII case folding.
 _NAME = r"[a-zA-Z][-.a-zA-Z0-9:_]*"
-_FAST = re.compile(
-    r"([^<]+)"                                          # text run  (1)
-    rf"|</({_NAME})>"                                   # end tag   (2)
-    rf"|<({_NAME})((?:[ \t\n\r\f]+[a-zA-Z][-a-zA-Z0-9_:.]*"
-    r'(?:="[^"<>]*")?)*)>'                              # start tag (3, 4)
+_SEP = r"[ \t\n\r\f]"
+_PLAIN_ATTR = (
+    rf"{_SEP}+(?!(?i:{_INTEREST_NAME})[= \t\n\r\f>])"
+    r'[a-zA-Z][-a-zA-Z0-9_:.]*(?:="[^"<>]*")?'
 )
+_FAST = re.compile(
+    r"([^<]+"                                           # text run
+    rf"|</({_NAME})>"                                   # end tag
+    rf"|<(?!(?i:script|style)[ \t\n\r\f>])({_NAME})"  # start tag
+    rf"(?:{_PLAIN_ATTR})*>"
+    r"|<)",                                             # declined '<'
+    re.ASCII,
+)
+_DECLINED = ("<", "", "")
+_WHOLE = itemgetter(0)
+# characters per findall call: a page's token list is built one window
+# at a time, so its size stays bounded on any page
+_WINDOW = 1 << 16
 
 
-def _faithful_token(html_text: str, lt: int, m: BlockMachine, data) -> int:
-    """Consume the one token at ``html_text[lt] == '<'`` that the fast
-    lane declined, exactly as html.parser would, and return the offset
-    after it."""
+def _faithful_token(html_text: str, lt: int, events: list) -> int:
+    """Consume the one token at ``html_text[lt] == '<'`` that ``_FAST``
+    declined, exactly as html.parser would: append its machine events
+    and return the offset after it."""
     n = len(html_text)
     nxt = html_text[lt + 1] if lt + 1 < n else ""
     if nxt in _ASCII_LETTERS:
@@ -411,7 +513,7 @@ def _faithful_token(html_text: str, lt: int, m: BlockMachine, data) -> int:
             else:
                 lt2 = html_text.find("<", lt + 1)
                 k2 = lt2 if lt2 >= 0 else lt + 1
-            data(html_text[lt:k2])
+            events.append((html_text[lt:k2], "", ""))
             return k2
         # faithful parse_starttag: name + attr walk decide whether
         # the trailing text is '>', '/>' or junk (→ data); attrs of
@@ -446,24 +548,23 @@ def _faithful_token(html_text: str, lt: int, m: BlockMachine, data) -> int:
                 k = am.end()
         end = html_text[k:endpos].strip()
         if end not in (">", "/>"):
-            data(html_text[lt:endpos])  # malformed slice → text
+            events.append((html_text[lt:endpos], "", ""))  # malformed → text
             return endpos
+        events.append(("", attrs, name))
         if name in _RAWDATA_END and end == ">":
-            m.start(name, attrs)
             m3 = _RAWDATA_END[name].search(html_text, endpos)
-            m.end(name)
+            events.append(("", name, ""))
             return n if m3 is None else m3.end()
-        m.start(name, attrs)
         if end == "/>" and name not in VOID_TAGS:
-            m.end(name)
+            events.append(("", name, ""))
         return endpos
     tok = _TOKEN.match(html_text, lt)
     if tok is None:
-        data("<")  # stray '<' is text (lenient, like html.parser)
+        events.append(("<", "", ""))  # stray '<' is text, like html.parser
         return lt + 1
     end_tag = tok.group(1) or tok.group(2)
     if end_tag is not None:
-        m.end(end_tag.lower())
+        events.append(("", end_tag, ""))
     # comments / doctype / CDATA / PI / bogus end tags: skipped
     return tok.end()
 
@@ -472,44 +573,45 @@ def segment_html(html_text: str) -> list[Block]:
     """Parse an HTML document into reading-order blocks.
 
     Never raises on tag soup (per-row error isolation happens one level
-    up, on decode failures). One scan drives the shared machine: the
-    ``_FAST`` lane takes every token it matches, and any other token
-    (a gap in the scan, a script/style start, a start tag whose
-    attributes may matter) goes through ``_faithful_token``, after
-    which the scan resumes. Block-identical to ``segment_html_stdlib``."""
+    up, on decode failures). Per window, one ``findall`` builds the
+    token list and the machine takes its runs between declined ``<``
+    as they are; ``_faithful_token`` consumes the token at each declined
+    ``<``, the text after it up to the next ``<`` is one text event,
+    and the walk resumes at the token that starts there.
+    Block-identical to ``segment_html_stdlib``."""
     m = BlockMachine()
-    m_start = m.start
-    m_end = m.end
-    m_data = m.data
-
-    def data(raw: str) -> None:
-        # entity decode only when an entity is present
-        if m.skip_depth or not raw:
-            return
-        m.data(unescape(raw) if _HAS_ENTITY.search(raw) else raw)
-
-    pos = 0
     n = len(html_text)
+    pos = 0
     while pos < n:
-        for fm in _FAST.finditer(html_text, pos):
-            if fm.start() != pos:
+        # cut at a '<': every token holds at most one, at its start
+        end = html_text.find("<", pos + _WINDOW)
+        if end < 0:
+            end = n
+        toks = _FAST.findall(html_text, pos, end)
+        events: list = []
+        i, off, pos = 0, pos, end  # next token, its offset; next window
+        while True:
+            try:
+                j = toks.index(_DECLINED, i)
+            except ValueError:
+                events += toks[i:] if i else toks
                 break
-            text, end_name, name, attr_text = fm.groups()
-            if text is not None:
-                if not m.skip_depth:
-                    m_data(unescape(text) if _HAS_ENTITY.search(text)
-                           else text)
-            elif end_name is not None:
-                m_end(end_name.lower())
-            else:
-                name = name.lower()
-                if name in _RAWDATA_END or (
-                    attr_text and _HAS_INTEREST.search(attr_text)
-                ):
-                    break
-                m_start(name)
-            pos = fm.end()
-        if pos < n:
-            pos = _faithful_token(html_text, pos, m, data)
-    m._flush()
-    return m.blocks
+            run = toks[i:j]
+            events += run
+            off += sum(map(len, map(_WHOLE, run)))
+            k = _faithful_token(html_text, off, events)
+            lt = html_text.find("<", k)
+            if lt < 0:
+                lt = n
+            if k < lt:
+                events.append((html_text[k:lt], "", ""))
+            if lt >= end:
+                pos = lt
+                break
+            # resume at the window token that starts at ``lt``
+            i, off = j + 1, off + 1
+            while off < lt:
+                off += len(toks[i][0])
+                i += 1
+        m.feed(events)
+    return m.close()

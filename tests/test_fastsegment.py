@@ -6,6 +6,7 @@ can construct — this is the determinism gate for swapping parsers
 import random
 import string
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -161,7 +162,12 @@ def test_known_edge_cases(html):
 HOSTILE = [
     lambda n: "<b>" * n + "</i>" * n,          # unmatched end tags, deep stack
     lambda n: "<span>" * n + "<p>t</p>" * n,   # matches on top of a deep stack
+    lambda n: '<div class="x">y' * n,          # every tag declined
+    lambda n: "<!x>y" * n,                     # declaration soup
+    lambda n: "< y" * n,                       # stray '<' as text
 ]
+HOSTILE_IDS = ["unmatched_end", "deep_open", "declined_tags", "declarations",
+               "stray_lt"]
 
 
 def _min_of_3(fn, html):
@@ -173,7 +179,7 @@ def _min_of_3(fn, html):
     return best
 
 
-@pytest.mark.parametrize("shape", HOSTILE, ids=["unmatched_end", "deep_open"])
+@pytest.mark.parametrize("shape", HOSTILE, ids=HOSTILE_IDS)
 @pytest.mark.parametrize("fn", [segment_html, segment_html_stdlib])
 def test_hostile_nesting_is_linear(fn, shape):
     # "is this tag open?" must not scan the stack: 8× the input may cost
@@ -184,18 +190,15 @@ def test_hostile_nesting_is_linear(fn, shape):
 
 
 class _CheckedMachine(segment.BlockMachine):
-    """Asserts after every event that the per-tag open count is the
-    open-tag stack's contents."""
+    """Feeds one event at a time and asserts after every event that the
+    per-tag open count is the open-tag stack's contents."""
 
     __slots__ = ()
 
-    def start(self, tag, attrs=()):
-        super().start(tag, attrs)
-        assert +Counter(self.n_open) == Counter(self.stack), tag
-
-    def end(self, tag):
-        super().end(tag)
-        assert +Counter(self.n_open) == Counter(self.stack), tag
+    def feed(self, events, decoded=False):
+        for event in events:
+            super().feed((event,), decoded)
+            assert +Counter(self.n_open) == Counter(self.stack), event
 
 
 def test_open_tag_count_tracks_the_stack(monkeypatch):
@@ -210,3 +213,49 @@ def test_open_tag_count_tracks_the_stack(monkeypatch):
     for html in pages:
         segment_html(html)
         segment_html_stdlib(html)
+
+
+@pytest.mark.parametrize("k", [200_000, 800_000])
+def test_inline_soup_memory_is_bounded(k):
+    # one block of k inline elements: the token list is built one
+    # window at a time, so the peak stays near the page's own size
+    html = "<p>" + "<b>x</b>" * k
+    tracemalloc.start()
+    try:
+        blocks = segment_html(html)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(b.text, b.n_tags) for b in blocks] == [("x" * k, k)]
+    assert peak < (16 << 20) + 2 * len(html), (peak, len(html))
+
+
+def _tiling_pages():
+    rng = random.Random(17)
+    pages = ["".join(rng.choice(FRAGS) for _ in range(rng.randint(2, 50)))
+             for _ in range(300)]
+    return pages + synth_pages()
+
+
+def test_tokens_tile_the_page():
+    # the whole-token groups join back to the page, and every '<'
+    # starts a token
+    for html in _tiling_pages():
+        toks = segment._FAST.findall(html)
+        assert "".join(t[0] for t in toks) == html
+        starts, off = set(), 0
+        for t in toks:
+            starts.add(off)
+            off += len(t[0])
+        assert {i for i, c in enumerate(html) if c == "<"} <= starts, html
+
+
+def test_window_size_does_not_change_blocks(monkeypatch):
+    # a 7-character window cuts nearly every page many times, also
+    # inside comments, script bodies and tags the fast lane declines
+    pages = _tiling_pages()
+    pages += [sanitize(h.decode("utf-8"), "NFC") for h in
+              realpages.fixture_pages_table().column("html").to_pylist()]
+    want = [tup(segment_html(html)) for html in pages]
+    monkeypatch.setattr(segment, "_WINDOW", 7)
+    assert [tup(segment_html(html)) for html in pages] == want

@@ -498,6 +498,31 @@ def test_pdf_key_derivation_matches_spec_algorithms():
         assert _hash_2b(pwd, salt, udata) == hash_2b(pwd, salt, udata)
 
 
+def test_pdf_aes256_r5_file_key_known_answer():
+    """R 5 (the pre-ISO AESV3 draft): /U is SHA-256(validation salt) ‖
+    validation salt ‖ key salt, and /UE wraps the file key under
+    AES-256-CBC with key SHA-256(key salt) and a zero IV. Built here
+    with hashlib and the FIPS-197-pinned cipher, not with the parser's
+    own helpers; a tampered /U validates nothing."""
+    import hashlib
+
+    from nidaba_ray.algorithms.aes import encrypt_cbc
+    from nidaba_ray.stages.pdf import _aes_file_key_v5
+
+    fkey = hashlib.sha256(b"file key").digest()
+    vsalt, ksalt = b"vsalt-01", b"ksalt-02"
+    U = hashlib.sha256(vsalt).digest() + vsalt + ksalt
+    UE = encrypt_cbc(hashlib.sha256(ksalt).digest(), bytes(16), fkey)
+
+    def enc(u: bytes) -> bytes:
+        return (b"<< /Filter /Standard /V 5 /R 5 /U <" + u.hex().encode()
+                + b"> /UE <" + UE.hex().encode() + b"> >>")
+
+    assert _aes_file_key_v5(enc(U), 5) == fkey
+    tampered = bytes([U[0] ^ 1]) + U[1:]
+    assert _aes_file_key_v5(enc(tampered), 5) is None
+
+
 @given(st.lists(st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz()\\%<>", min_size=1, max_size=20
 ), min_size=1, max_size=40))
@@ -785,3 +810,26 @@ def test_gif_gray_roundtrip_property(w, h, interlace, seed):
     frames = decode_gif(encode_gif(img, interlace=interlace))
     assert frames.shape == (1, h, w, 3)
     assert np.array_equal(frames[0, :, :, 0], img)
+
+
+# ---- whitespace collapse: str.split is re's Unicode \s -----------------
+
+def test_re_unicode_whitespace_is_str_isspace():
+    """``segment`` collapses whitespace with ``" ".join(s.split())``;
+    that equals the regex collapse only if ``\\s`` and ``str.isspace``
+    are one predicate. Checked over every code point."""
+    import re
+    import sys
+
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+@given(st.text(alphabet=st.sampled_from(
+    list("ab \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000"
+         "\u2028\u2029\u200b\u3000\ufeff")), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_split_join_collapse_equals_regex_collapse(s):
+    import re
+
+    assert " ".join(s.split()) == re.sub(r"\s+", " ", s).strip()
