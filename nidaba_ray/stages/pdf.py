@@ -14,9 +14,23 @@ A real (public-spec) PDF *subset* parser, pure stdlib:
     mail-safe encodings read transparently; streams declaring image
     codecs (DCTDecode, CCITT, JBIG2, JPX) or a /Predictor are skipped
     as non-text rather than parsed as binary soup;
-  * content streams are tokenized per the PDF syntax: literal strings
-    with nested parens + all escapes (\\n \\t … \\ooo octal, line
-    continuations), hex strings, arrays, names, numbers, comments;
+  * content streams are tokenized per the PDF syntax by ONE compiled
+    pattern, iterated lazily with ``finditer`` and dispatched on
+    ``m.lastindex``: each match is a skip-run (whitespace, comments),
+    then one token — a fused ``/Name size Tf``, ``<hex> Tj`` or
+    ``(literal) Tj`` operation, a literal string without nesting
+    (escapes \\n \\t … \\ooo octal and line continuations decoded by
+    one substitution), a hex string, an array bracket, a name, a
+    number or an operator. Nested or unterminated literal strings,
+    dicts and inline images are consumed outside the pattern, which
+    restarts after them. Three details keep the fused alternatives
+    equal to token-by-token reading: the skip-run is atomic and names
+    and numbers are possessive (``/F1 Tf`` never reads as ``/F`` and
+    ``1``, and no alternative backs into a comment's text); a ``\\Z``
+    alternative matches after a trailing skip-run, so ``finditer``
+    never steps past a failed position into an unterminated comment;
+    and a fused ``Tf``/``Tj`` must end at a delimiter (``Tjx`` is an
+    operator of its own);
   * text operators: BT/ET blocks, ``Tj``, ``TJ`` (array shows —
     kerning numbers concatenate), ``'`` and ``"`` (next-line shows),
     ``Td``/``TD`` (newline when ty≠0), ``T*``, ``Tm`` (newline), so
@@ -59,8 +73,10 @@ this module for a full parser behind ``extract_pdf_blocks``.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import re
+import struct
 import zlib
 from bisect import bisect_left
 
@@ -215,9 +231,28 @@ def _apply_filter_chain(body: bytes, names: list[bytes],
             body = _FILTER_DECODERS[name](body)
     return body
 
-_NUM_RE = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)")
-_NAME_RE = re.compile(rb"/[^\s()<>\[\]{}/%]*")
-_OP_RE = re.compile(rb"[^\s()<>\[\]{}/%]+")
+# Content-stream tokens (spec §7.2, §9.4): each _TOKEN_RE match is a
+# skip-run, then one operation or token (the module docstring lists the
+# alternatives and the three details that keep the fused ones exact)
+_SKIP = rb"(?>(?:[ \t\r\n\f\x00]+|%[^\n]*+\n?)*)"
+_DELIM = rb"(?=[\s()<>\[\]{}/%]|\Z)"
+_NAME = rb"/[^\s()<>\[\]{}/%]*+"
+_NUM = rb"(?>[-+]?(?:\d+\.?\d*|\.\d+))"
+_LIT = rb"\(((?:[^()\\]++|\\.)*+)\)"  # no nesting; escapes kept raw
+_HEXSTR = rb"<([0-9A-Fa-f\s]*+)>"
+_TOKEN_RE = re.compile(
+    _SKIP + rb"(?:"
+    rb"((" + _NAME + rb")" + _SKIP + _NUM + _SKIP + rb"Tf" + _DELIM + rb")"
+    rb"|(" + _HEXSTR + _SKIP + rb"Tj" + _DELIM + rb")"
+    rb"|(" + _LIT + _SKIP + rb"Tj" + _DELIM + rb")"
+    rb"|" + _LIT + rb"|(\()|(<<)|" + _HEXSTR + rb"|(\[)|(\])"
+    rb"|(" + _NAME + rb")|(" + _NUM + rb")|([^\s()<>\[\]{}/%]++)"
+    rb"|(.)|(\Z))", re.S)
+# m.lastindex of each alternative (an outer group closes last)
+(_T_TF, _T_HEX_TJ, _T_LIT_TJ, _T_LIT, _T_PAREN, _T_DICT, _T_HEX,
+ _T_OPEN, _T_CLOSE, _T_NAME, _T_NUM, _T_OP) = (
+    1, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+_ESC_RE = re.compile(rb"\\(?:([0-7]{1,3})|(\r\n?|\n)|(.))", re.S)
 # Inline images (spec §8.9.7): `ID` ends the parameter dict and is
 # followed by exactly one whitespace byte, then raw binary until a
 # whitespace-delimited `EI`. The spec itself notes the EI scan is
@@ -241,8 +276,10 @@ def _hex_bytes(h: bytes) -> bytes:
     """The digits of a ``<…>`` hex string (whitespace ignored) → bytes;
     an odd final digit reads as if followed by 0 (spec §7.3.4.3), which
     keeps extract_pdf_blocks TOTAL on corrupt input."""
-    h = re.sub(rb"\s", b"", h)
-    return bytes.fromhex((h + b"0" * (len(h) % 2)).decode("ascii"))
+    h = h.translate(None, b" \t\n\r\f\v")  # re's bytes `\s`
+    if len(h) % 2:
+        h += b"0"
+    return binascii.unhexlify(h)
 
 
 # ---------------------------------------------------------------------------
@@ -823,10 +860,8 @@ def _decode_show(b: bytes, cmap: dict[int, str] | None,
     if cmap:
         if len(b) % 2:  # malformed odd-length code string — pad
             b = b + b"\x00"
-        return "".join(
-            cmap.get((b[i] << 8) | b[i + 1], "�")
-            for i in range(0, len(b), 2)
-        )
+        return "".join([cmap.get(c, "�")
+                        for c in struct.unpack(">%dH" % (len(b) >> 1), b)])
     if diffs:
         return "".join(
             diffs.get(x, chr(x) if x < 0x80 else "�") for x in b
@@ -881,6 +916,34 @@ def _scan_string(data: bytes, i: int) -> tuple[bytes, int]:
     return bytes(out), i
 
 
+def _unescape(m: re.Match) -> bytes:
+    """One ``_ESC_RE`` escape → its bytes, by :func:`_scan_string`'s
+    rules."""
+    octal, eol, c = m.groups()
+    if octal is not None:
+        return bytes((int(octal, 8) & 0xFF,))
+    if eol is not None:  # line continuation
+        return b""
+    return _ESC_SIMPLE.get(c[0], c)
+
+
+def _literal(body: bytes) -> bytes:
+    """The bytes of a literal string without nesting, from its body."""
+    return _ESC_RE.sub(_unescape, body) if b"\\" in body else body
+
+
+def _end_block(blocks: list[str], lines: list[str], cur: list[str]) -> None:
+    """Close the open text object: the line in ``cur`` ends, and the
+    lines join with one space into a block unless all blank."""
+    if cur:
+        lines.append("".join(cur))
+        cur.clear()
+    text = " ".join(lines)
+    if text.strip():
+        blocks.append(text)
+    lines.clear()
+
+
 def _parse_content(
     data: bytes,
     cmap: dict[int, str] | None = None,
@@ -894,139 +957,119 @@ def _parse_content(
     the named font's; names missing from ``fonts`` keep the merged
     document-level maps — so two fonts with OVERLAPPING code spaces
     decode correctly when resolvable, and the old behavior is the
-    graceful fallback."""
+    graceful fallback.
+
+    One ``_TOKEN_RE`` match per operation or token, dispatched on
+    ``m.lastindex``. A nested literal string, a dict and an inline
+    image are consumed outside the pattern; finditer then restarts
+    after them."""
     blocks: list[str] = []
     stack: list = []
     lines: list[str] = []
     cur: list[str] = []
-    active = [cmap, diffs]  # mutated by Tf
-
-    def newline() -> None:
-        nonlocal cur
-        if cur:
-            lines.append("".join(cur))
-            cur = []
-
-    def show(b: bytes) -> None:
-        cur.append(_decode_show(b, active[0], active[1]))
-
-    def flush() -> None:
-        nonlocal lines
-        newline()
-        if lines:
-            text = " ".join(lines)
-            if text.strip():
-                blocks.append(text)
-        lines = []
-
-    i, n = 0, len(data)
+    font = (cmap, diffs)  # the active pair, switched by Tf
+    n = len(data)
     no_id = no_ei = n  # an ID / EI search that failed from here fails on
-    while i < n:
-        c = data[i]
-        if c in _WS_BYTES:
-            i += 1
-            continue
-        if c == 0x25:  # % comment to EOL
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if c == 0x28:  # literal string
-            s, i = _scan_string(data, i)
-            stack.append(s)
-            continue
-        if data.startswith(b"<<", i):  # dict (skipped — no text inside)
-            j = data.find(b">>", i + 2)
-            i = n if j < 0 else j + 2
-            continue
-        if c == 0x3C:  # hex string
-            m = _HEX_RE.match(data, i)
-            if m:
-                stack.append(_hex_bytes(m.group(1)))
-                i = m.end()
-            else:
-                i += 1
-            continue
-        if c == 0x5B:  # [
-            stack.append("[")
-            i += 1
-            continue
-        if c == 0x5D:  # ] — collapse to array
-            arr: list = []
-            while stack and stack[-1] != "[":
-                arr.append(stack.pop())
-            if stack:
-                stack.pop()
-            stack.append(list(reversed(arr)))
-            i += 1
-            continue
-        if c == 0x2F:  # name — tagged so a literal string that merely
-            # LOOKS like a name can never be mistaken for one
-            m = _NAME_RE.match(data, i)
-            stack.append(("name", m.group()))
-            i = m.end()
-            continue
-        m = _NUM_RE.match(data, i)
-        if m:
-            stack.append(float(m.group()))
-            i = m.end()
-            continue
-        m = _OP_RE.match(data, i)
-        if not m:
-            i += 1
-            continue
-        op = m.group()
-        i = m.end()
-        if op == b"BI":  # inline image: skip BI…ID…EI as one opaque span
-            m2 = _INLINE_ID_RE.search(data, i) if i < no_id else None
-            # a BI with no ID after it is a corrupt or false-positive
-            # operator (one flipped byte), not an image: tokenize on
-            if m2 is None:
-                no_id = i
-            else:
-                j = m2.end()
-                m3 = _INLINE_EI_RE.search(data, j) if j < no_ei else None
-                if m3 is None:
-                    no_ei = j
-                    m3 = _INLINE_EI_BARE_RE.search(data, j)
-                # no EI at all → truncated image at stream end; only
-                # then is dropping the (empty) remainder correct
-                i = n if m3 is None else m3.end()
-        elif op in (b"BT", b"ET"):
-            flush()
-        elif op == b"Tj":
-            if stack and isinstance(stack[-1], bytes):
-                show(stack.pop())
-        elif op == b"TJ":
-            if stack and isinstance(stack[-1], list):
-                for el in stack.pop():
-                    if isinstance(el, bytes):
-                        show(el)  # kerning numbers concatenate
-        elif op in (b"'", b'"'):
-            if stack and isinstance(stack[-1], bytes):
-                s = stack.pop()
-                newline()
-                show(s)
-        elif op == b"Tf":
-            if fonts:
-                name = next(
-                    (x[1] for x in reversed(stack)
-                     if isinstance(x, tuple) and x[0] == "name"),
-                    None,
-                )
-                if name is not None and name in fonts:
-                    active[0], active[1] = fonts[name]
-                else:  # unresolvable font → document-level maps
-                    active[0], active[1] = cmap, diffs
-        elif op in (b"Td", b"TD"):
-            ty = stack[-1] if stack and isinstance(stack[-1], float) else 0.0
-            if ty != 0.0:
-                newline()
-        elif op in (b"T*", b"Tm"):
-            newline()
-        # every operator consumes its operands; TL/Tc/Tw/graphics/…
-        # show no text
-        stack.clear()
-    flush()
+    pos = 0
+    while pos < n:
+        for m in _TOKEN_RE.finditer(data, pos):
+            k = m.lastindex
+            if k == _T_TF:  # `/Name size Tf`
+                if fonts:
+                    font = fonts.get(m.group(2), (cmap, diffs))
+                stack.clear()
+            elif k == _T_HEX_TJ:  # `<hex> Tj`
+                cur.append(_decode_show(_hex_bytes(m.group(4)), *font))
+                stack.clear()
+            elif k == _T_LIT_TJ:  # `(literal) Tj`
+                cur.append(_decode_show(_literal(m.group(6)), *font))
+                stack.clear()
+            elif k == _T_NUM:
+                stack.append(float(m.group(k)))
+            elif k == _T_OP:
+                op = m.group(k)
+                if op == b"BT" or op == b"ET":
+                    _end_block(blocks, lines, cur)
+                elif op == b"Tj":
+                    if stack and isinstance(stack[-1], bytes):
+                        cur.append(_decode_show(stack[-1], *font))
+                elif op == b"TJ":
+                    if stack and isinstance(stack[-1], list):
+                        for el in stack[-1]:
+                            # kerning numbers concatenate
+                            if isinstance(el, bytes):
+                                cur.append(_decode_show(el, *font))
+                elif op == b"Td" or op == b"TD":
+                    if stack and isinstance(stack[-1], float) and stack[-1]:
+                        if cur:
+                            lines.append("".join(cur))
+                            cur = []
+                elif op == b"T*" or op == b"Tm":
+                    if cur:
+                        lines.append("".join(cur))
+                        cur = []
+                elif op == b"'" or op == b'"':
+                    if stack and isinstance(stack[-1], bytes):
+                        if cur:
+                            lines.append("".join(cur))
+                        cur = [_decode_show(stack[-1], *font)]
+                elif op == b"Tf":
+                    if fonts:
+                        name = next((x[1] for x in reversed(stack)
+                                     if isinstance(x, tuple)), None)
+                        font = fonts.get(name, (cmap, diffs))
+                elif op == b"BI":  # inline image: BI…ID…EI, one opaque span
+                    i = m.end()
+                    m2 = _INLINE_ID_RE.search(data, i) if i < no_id else None
+                    # a BI with no ID after it is a corrupt or
+                    # false-positive operator (one flipped byte), not an
+                    # image: tokenize on
+                    if m2 is None:
+                        no_id = i
+                    else:
+                        j = m2.end()
+                        m3 = _INLINE_EI_RE.search(data, j) if j < no_ei else None
+                        if m3 is None:
+                            no_ei = j
+                            m3 = _INLINE_EI_BARE_RE.search(data, j)
+                        # no EI at all → truncated image at stream end;
+                        # only then is dropping the (empty) remainder
+                        # correct
+                        pos = n if m3 is None else m3.end()
+                        stack.clear()
+                        break
+                # every operator consumes its operands; TL/Tc/Tw/
+                # graphics/… show no text
+                stack.clear()
+            elif k == _T_LIT:
+                stack.append(_literal(m.group(k)))
+            elif k == _T_HEX:
+                stack.append(_hex_bytes(m.group(k)))
+            elif k == _T_NAME:  # tagged so a literal string that merely
+                # LOOKS like a name can never be mistaken for one
+                stack.append(("name", m.group(k)))
+            elif k == _T_OPEN:
+                stack.append("[")
+            elif k == _T_CLOSE:  # collapse to array
+                arr: list = []
+                while stack and stack[-1] != "[":
+                    arr.append(stack.pop())
+                if stack:
+                    stack.pop()
+                arr.reverse()
+                stack.append(arr)
+            elif k == _T_PAREN:  # a nested or unterminated literal string
+                s, pos = _scan_string(data, m.start(k))
+                stack.append(s)
+                break
+            elif k == _T_DICT:  # dict (skipped — no text inside)
+                j = data.find(b">>", m.end())
+                pos = n if j < 0 else j + 2
+                break
+            # any other byte is skipped; `\Z` ends the stream
+        else:
+            break
+    _end_block(blocks, lines, cur)
     return blocks
 
 

@@ -292,6 +292,14 @@ _HOSTILE_SHAPES = {
                    + b"".join(b"/F%d 3 0 R " % k for k in range(n))
                    + b">> >> endobj\n3 0 obj << /Type /Font "
                    + b"/W " * (20 * n) + b">> endobj\n", 250),
+    # content-stream tokens that a restarting scan would rescan
+    "unterminated_hex": (lambda n: _one_stream(b"<4142 " * n), 1_000),
+    "unterminated_nesting": (lambda n: _one_stream(b"(" * n), 2_000),
+    "deep_nesting": (lambda n: _one_stream(b"(" * n + b")" * n), 1_000),
+    "escaped_parens": (lambda n: _one_stream(b"(a\\" * n), 1_000),
+    "dict_opens": (lambda n: _one_stream(b"<<" * n), 4_000),
+    "near_miss_tf": (lambda n: _one_stream(b"/F1 1 Tfx " * n), 1_000),
+    "near_miss_tj": (lambda n: _one_stream(b"<41> Tjx " * n), 1_000),
 }
 
 
@@ -301,8 +309,10 @@ def test_hostile_pdf_structure_is_linear(shape):
     for each structure that a restarting search would walk once per
     candidate: many well-formed pages, a digit run, object headers or
     stream keywords with no end, ``/Differences[``, ``BI``, ``/Font<<``
-    and CMap sections that never close, and many font names sharing
-    one large font object."""
+    and CMap sections that never close, many font names sharing one
+    large font object, and content streams of unterminated hex strings,
+    literal strings and dicts, deep nesting, escaped parens and
+    operators that nearly fuse (``Tfx``, ``Tjx``)."""
     import timeit
 
     make, n = _HOSTILE_SHAPES[shape]
